@@ -10,7 +10,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ocfgames import convexity, core, corpus, deviations, fuzzy, io, reductions, welfare
@@ -20,43 +19,48 @@ from ocfgames.model import (
     Outcome,
     TTG,
     payoff_vector,
-    validate_structure,
+    validate_outcome,
 )
 from ocfgames.rationals import Q, as_q, q_str
 
 STABLE, UNSTABLE, ERROR = 0, 1, 2
 
 
-@dataclass
-class RunConfig:
-    """Resolution and size knobs shared by the search commands."""
-
-    grid: int = 1
-    cap: Optional[int] = None
-
-    def __post_init__(self):
-        if self.grid < 1:
-            raise GameError("grid denominator must be >= 1")
-        if self.cap is not None and self.cap < 1:
-            raise GameError("structure cap must be >= 1")
-
-
-def _agent_set(text: str, n: int) -> frozenset[int]:
+def _agent_list(text: str, n: int) -> list[int]:
+    """Comma-separated 1-based agent labels, in order, as 0-based indices."""
     try:
         labels = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as err:
-        raise GameError(f"bad agent set {text!r}") from err
+        raise GameError(f"bad agent list {text!r}") from err
     for a in labels:
         if not (1 <= a <= n):
             raise GameError(f"agent label {a} out of range 1..{n}")
-    return frozenset(a - 1 for a in labels)
+    return [a - 1 for a in labels]
+
+
+def _agent_set(text: str, n: int) -> frozenset[int]:
+    return frozenset(_agent_list(text, n))
 
 
 def _payoff_vector_arg(text: str, n: int) -> tuple:
-    parts = [as_q(tok.strip()) for tok in text.split(",")]
+    try:
+        parts = [as_q(tok.strip()) for tok in text.split(",")]
+    except ValueError as err:
+        raise GameError(f"bad payoff vector {text!r}: {err}") from err
     if len(parts) != n:
         raise GameError(f"{len(parts)} payoffs for {n} agents")
     return tuple(parts)
+
+
+def _load_feasible_outcome(path: str, game: Game) -> Outcome:
+    """Load an outcome and reject it unless it is feasible: capacities hold
+    and each coalition's payoffs distribute exactly its value.  Individual
+    rationality is left to the check that runs on it."""
+    outcome = io.load_outcome(path, game)
+    problems = validate_outcome(game, outcome, individual_rationality=False)
+    if problems:
+        raise GameError("; ".join(problems))
+    return outcome
 
 
 def _print_outcome(outcome: Outcome, out: Optional[str]) -> None:
@@ -121,11 +125,7 @@ def _cmd_check_core(args) -> int:
     else:
         if not args.outcome:
             raise GameError(f"kind {kind} requires --outcome")
-        outcome = io.load_outcome(args.outcome, game)
-        # Only feasibility is a usage error; rationality is what the check decides.
-        problems = validate_structure(game, outcome.structure)
-        if problems:
-            raise GameError("; ".join(problems))
+        outcome = _load_feasible_outcome(args.outcome, game)
         if kind == "c":
             verdict = core.check_group_rationality(
                 game, outcome, cap=args.cap, grid=args.grid
@@ -193,7 +193,7 @@ def _cmd_balanced(args) -> int:
 
 def _cmd_deviate(args) -> int:
     game = io.load_game(args.game)
-    outcome = io.load_outcome(args.outcome, game)
+    outcome = _load_feasible_outcome(args.outcome, game)
     J = _agent_set(args.set, game.n)
     finder = deviations.FINDERS[args.kind]
     result = finder(game, outcome, J, cap=args.cap, grid=args.grid)
@@ -208,7 +208,7 @@ def _cmd_convexity(args) -> int:
     game = io.load_game(args.game)
     if args.construct:
         if args.order:
-            ordering = [int(tok) - 1 for tok in args.order.split(",")]
+            ordering = _agent_list(args.order, game.n)
         else:
             ordering = list(range(game.n))
         outcome = convexity.construct_core_element(

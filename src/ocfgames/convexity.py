@@ -123,7 +123,8 @@ def _divide(game, built, supports, floors, maximize: Optional[int]):
     result = lp.solve(program)
     if result.status == "infeasible":
         return None
-    assert result.status in ("optimal", "feasible")
+    if result.status not in ("optimal", "feasible"):
+        raise AssertionError(f"division LP ended {result.status}")
     shares = [
         {j: result.assignment[var[(c, j)]] for j in sup}
         for c, sup in enumerate(supports)
@@ -187,7 +188,8 @@ def construct_core_element(
             raise GameError("no grid agreement meets the locked payoffs")
         prev_pay = {j: best[3].get(j, ZERO) for j in prefix}
         final = best
-    assert final is not None
+    if final is None:
+        raise AssertionError("no agent was admitted; the ordering is checked above")
     _, ctx, built, _, shares = final
     return _to_outcome(game, ctx, built, shares)
 

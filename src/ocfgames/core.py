@@ -11,6 +11,7 @@ stabilization with a dual certificate when no stabilizing imputation exists.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import FrozenSet, Iterable, Optional, Sequence
@@ -28,7 +29,7 @@ from ocfgames.model import (
     to_nonoverlapping,
     validate_outcome,
 )
-from ocfgames.rationals import Q
+from ocfgames.rationals import Q, common_denominator
 
 ZERO = Q(0)
 SUBSET_GUARD = 16
@@ -145,35 +146,43 @@ class MinPayoffTable:
     """Minimal total payoff of any agent subset pooling at least ``w`` units.
 
     ``P[i][w]`` is the cheapest (by payoff) subset of the first ``i`` agents
-    whose scaled weights sum to at least ``w``; ``None`` marks "no subset".
+    whose scaled weights sum to at least ``w``, as an integer in units of
+    ``1/denom``; ``None`` marks "no subset" (``w`` beyond the first ``i``
+    agents' total weight).
     """
 
     scale: int
-    P: tuple[tuple[Optional[Fraction], ...], ...]
+    denom: int
+    P: tuple[tuple[Optional[int], ...], ...]
 
-    def cheapest(self, w: int) -> Optional[Fraction]:
-        return self.P[-1][w]
+    def cheapest(self, w: int) -> Fraction:
+        """``P[n][w]`` as a payoff; every w up to the total weight is reachable."""
+        return Q(self.P[-1][w], self.denom)
 
 
-def min_payoff_table(
-    game: TTG, payoffs: Sequence[Fraction], limit: Optional[int] = None
-) -> MinPayoffTable:
+def _scaled_payoffs(payoffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The payoffs' common denominator ``D`` and the integers ``p * D``."""
+    ps = [Q(x) for x in payoffs]
+    D = common_denominator(ps)
+    return D, [x.numerator * (D // x.denominator) for x in ps]
+
+
+def min_payoff_table(game: TTG, payoffs: Sequence[Fraction]) -> MinPayoffTable:
     M = welfare.scale_factor(game)
     weights = [int(w * M) for w in game.weights]
-    W = sum(weights) if limit is None else limit
-    n = game.n
-    P: list[list[Optional[Fraction]]] = [[None] * (W + 1) for _ in range(n + 1)]
-    P[0][0] = ZERO
-    for i in range(n):
-        wi, pi = weights[i], payoffs[i]
-        prev, cur = P[i], P[i + 1]
-        for w in range(W + 1):
-            best = prev[w]
-            take = prev[max(0, w - wi)]
-            if take is not None and (best is None or pi + take < best):
-                best = pi + take
-            cur[w] = best
-    return MinPayoffTable(M, tuple(tuple(row) for row in P))
+    D, ints = _scaled_payoffs(payoffs)
+    W = sum(weights)
+    # Row i is feasible exactly up to the first i agents' total weight, so
+    # inside that prefix both branches of the recurrence are integers.
+    row = [0]
+    P = [tuple(row) + (None,) * W]
+    for wi, pi in zip(weights, ints):
+        take = [x + pi for x in itertools.chain(itertools.repeat(row[0], wi), row)]
+        feasible = len(row)
+        row = [a if a <= b else b for a, b in zip(row, take)]
+        row += take[feasible:]
+        P.append(tuple(row) + (None,) * (W + 1 - len(row)))
+    return MinPayoffTable(M, D, tuple(P))
 
 
 def _recover_cheap_subset(
@@ -183,6 +192,7 @@ def _recover_cheap_subset(
     higher-index agent when both branches attain the minimum."""
     M = table.scale
     weights = [int(x * M) for x in game.weights]
+    _, ints = _scaled_payoffs(payoffs)
     chosen = []
     target = table.P[game.n][w]
     for i in range(game.n, 0, -1):
@@ -190,8 +200,26 @@ def _recover_cheap_subset(
             continue  # skip agent i-1
         chosen.append(i - 1)
         w = max(0, w - weights[i - 1])
-        target = target - payoffs[i - 1]
+        target -= ints[i - 1]
     return frozenset(chosen)
+
+
+def _first_shortfall(
+    game: TTG, p: Sequence[Fraction], table: MinPayoffTable, values: Iterable[Fraction]
+) -> CoreVerdict:
+    """Compare ``P[n][w]`` with ``values`` (one per w = 1, 2, ...) in integers;
+    the first w paid less than its value yields a blocking set."""
+    row, D = table.P[-1], table.denom
+    for w, u in enumerate(values, start=1):
+        c = row[w]
+        if c * u.denominator < u.numerator * D:
+            return CoreVerdict(
+                stable=False,
+                witness=_recover_cheap_subset(game, p, table, w),
+                witness_value=u,
+                shortfall=u - table.cheapest(w),
+            )
+    return CoreVerdict(stable=True)
 
 
 def ttg_membership(game: TTG, outcome: Outcome) -> CoreVerdict:
@@ -211,17 +239,7 @@ def ttg_payoff_membership(game: TTG, p: Sequence[Fraction]) -> CoreVerdict:
         raise GameError(f"payoff vector of length {len(p)} for {game.n} agents")
     profile = welfare.knapsack_profile(game)
     table = min_payoff_table(game, p)
-    for w in range(1, profile.limit + 1):
-        cheapest = table.cheapest(w)
-        if cheapest is not None and cheapest < profile.utilities[w]:
-            S = _recover_cheap_subset(game, p, table, w)
-            return CoreVerdict(
-                stable=False,
-                witness=S,
-                witness_value=profile.utilities[w],
-                shortfall=profile.utilities[w] - cheapest,
-            )
-    return CoreVerdict(stable=True)
+    return _first_shortfall(game, p, table, profile.utilities[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +364,8 @@ def _balanced_collection(
     ) + sum(
         (u * game.value(c.units) for u, c in zip(mu_ray, cs.coalitions)), ZERO
     )
-    assert gap > 0
+    if gap <= 0:
+        raise AssertionError(f"Farkas ray does not separate: gap {gap}")
     base_value = sum((game.value(c.units) for c in cs.coalitions), ZERO)
     top = welfare.vstar(game, range(game.n))
     t = max(Q(1), (top - base_value + 1) / gap)
@@ -391,16 +410,10 @@ def nonoverlapping_core_check(
             )
     table = min_payoff_table(game, p)
     M = table.scale
+    # tasks are sorted by threshold and utility: the best single task a pooled
+    # weight completes is the last one whose threshold it meets
+    thresholds = [int(t.threshold * M) for t in game.tasks]
+    utilities = [ZERO] + [t.utility for t in game.tasks]
     limit = int(game.total_weight() * M)
-    for w in range(1, limit + 1):
-        cheapest = table.cheapest(w)
-        best_single = game.best_utility(Q(w, M))
-        if cheapest is not None and cheapest < best_single:
-            S = _recover_cheap_subset(game, p, table, w)
-            return CoreVerdict(
-                stable=False,
-                witness=S,
-                witness_value=best_single,
-                shortfall=best_single - cheapest,
-            )
-    return CoreVerdict(stable=True)
+    best_single = (utilities[bisect_right(thresholds, w)] for w in range(1, limit + 1))
+    return _first_shortfall(game, p, table, best_single)

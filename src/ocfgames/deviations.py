@@ -180,7 +180,8 @@ class _Search:
     def _rule_vectors(self, caps: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         """Minimal grid vectors satisfying some rule using deviators only."""
         game = self.game
-        assert isinstance(game, RuleBasedGame)
+        if not isinstance(game, RuleBasedGame):
+            raise AssertionError("rule vectors need a rule-based game")
         results: set[tuple[int, ...]] = set()
         for rule in game.rules:
             if rule.value <= 0:
@@ -439,7 +440,8 @@ def _package(ctx: _Search, cand: _Candidate, hit, resolution) -> DeviationResult
             (shares.get(j, ZERO) for shares in division), ZERO
         )
         gains[j] = earned - ctx.pJ[j]
-    assert all(gain > 0 for gain in gains.values())
+    if any(gain <= 0 for gain in gains.values()):
+        raise AssertionError(f"strict division left a deviator without gain: {gains}")
     return DeviationResult(
         found=True,
         plan=plan,

@@ -25,6 +25,7 @@ from ocfgames.model import GameError, TTG
 from ocfgames.rationals import Q
 
 ZERO = Q(0)
+ONE = Q(1)
 
 
 @dataclass(frozen=True)
@@ -72,35 +73,21 @@ def _min_cost_profile(costs, caps, W):
 
     Minimizes sum(costs[i] * c_i) over 0 <= c_i <= caps[i], sum c_i = W.
     Returns (min cost, vector) or None when W exceeds the total capacity.
+    The objective is linear with one total constraint and integral caps, so
+    filling the cheapest agents first (ties by index) is optimal.
     """
-    n = len(caps)
-    INF = None
-    best = [[INF] * (W + 1) for _ in range(n + 1)]
-    best[0][0] = ZERO
-    for i in range(n):
-        for w in range(W + 1):
-            prev = best[i][w]
-            if prev is None:
-                continue
-            for c in range(0, min(caps[i], W - w) + 1):
-                cand = prev + costs[i] * c
-                cur = best[i + 1][w + c]
-                if cur is None or cand < cur:
-                    best[i + 1][w + c] = cand
-    if best[n][W] is None:
+    if W > sum(caps):
         return None
-    vec = [0] * n
-    w = W
-    target = best[n][W]
-    for i in range(n, 0, -1):
-        for c in range(0, min(caps[i - 1], w) + 1):
-            prev = best[i - 1][w - c]
-            if prev is not None and prev + costs[i - 1] * c == target:
-                vec[i - 1] = c
-                w -= c
-                target = prev
-                break
-    return best[n][W], vec
+    vec = [0] * len(caps)
+    cost = ZERO
+    left = W
+    for i in sorted(range(len(caps)), key=lambda i: (costs[i], i)):
+        if left == 0:
+            break
+        vec[i] = min(caps[i], left)
+        cost += costs[i] * vec[i]
+        left -= vec[i]
+    return cost, vec
 
 
 def aubin_core_check(game: TTG, p: Sequence[Fraction]) -> FuzzyCheckReport:
@@ -157,7 +144,7 @@ def f_core_check(game: TTG, p: Sequence[Fraction]) -> FuzzyCheckReport:
     if verdict.stable:
         return FuzzyCheckReport(holds=True)
     S = verdict.witness
-    witness = tuple(Q(1) if j in S else ZERO for j in range(game.n))
+    witness = tuple(ONE if j in S else ZERO for j in range(game.n))
     return FuzzyCheckReport(
         holds=False, witness=witness, witness_value=verdict.witness_value
     )

@@ -42,10 +42,29 @@ def _loads(text: str) -> dict:
     return doc
 
 
-def _rationals(values, what: str) -> tuple[Fraction, ...]:
+def _q(value, what: str) -> Fraction:
+    try:
+        return as_q(value)
+    except (TypeError, ValueError) as err:
+        raise GameError(f"{what}: {err}") from err
+
+
+def _array(values, what: str) -> list:
     if not isinstance(values, list):
         raise GameError(f"{what} must be an array")
-    return tuple(as_q(v) for v in values)
+    return values
+
+
+def _field(obj, key: str, what: str):
+    if not isinstance(obj, dict):
+        raise GameError(f"each {what} must be an object")
+    if key not in obj:
+        raise GameError(f"{what} without a {key!r} key")
+    return obj[key]
+
+
+def _rationals(values, what: str) -> tuple[Fraction, ...]:
+    return tuple(_q(v, what) for v in _array(values, what))
 
 
 def game_from_dict(doc: dict) -> Game:
@@ -61,20 +80,28 @@ def game_from_dict(doc: dict) -> Game:
         raise GameError("exactly one of 'tasks' or 'rules' is required")
     if has_tasks:
         tasks = tuple(
-            TaskType(as_q(t["threshold"]), as_q(t["utility"]))
-            for t in doc["tasks"]
+            TaskType(
+                _q(_field(t, "threshold", "task"), "task threshold"),
+                _q(_field(t, "utility", "task"), "task utility"),
+            )
+            for t in _array(doc["tasks"], "'tasks'")
         )
         return TTG(weights, tasks)
     rules = []
-    for rule in doc["rules"]:
+    for rule in _array(doc["rules"], "'rules'"):
         requirements = tuple(
             Requirement(
-                frozenset(_agent_index(a, n) for a in req["agents"]),
-                as_q(req["min"]),
+                frozenset(
+                    _agent_index(a, n)
+                    for a in _array(_field(req, "agents", "requirement"),
+                                    "requirement agents")
+                ),
+                _q(_field(req, "min", "requirement"), "requirement min"),
             )
-            for req in rule["requirements"]
+            for req in _array(_field(rule, "requirements", "rule"),
+                              "rule requirements")
         )
-        rules.append(Rule(requirements, as_q(rule["value"])))
+        rules.append(Rule(requirements, _q(_field(rule, "value", "rule"), "rule value")))
     return RuleBasedGame(weights, tuple(rules))
 
 

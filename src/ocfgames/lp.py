@@ -157,12 +157,14 @@ def solve(program: LinearProgram) -> LPResult:
     for j in artificials:
         cost1[j] = ONE
     status, z = _run_simplex(rows, basis, cost1, frozenset())
-    assert status == "optimal"
+    if status != "optimal":
+        raise AssertionError(f"phase 1 ended {status}; it is bounded below by 0")
     infeas = -z[-1]  # phase-1 objective value
     if infeas > 0:
         y = [ONE - z[nstruct + nslack + i] for i in range(m)]
         cert = tuple(signs[i] * y[i] for i in range(m))
-        assert verify_infeasibility(program, cert)
+        if not verify_infeasibility(program, cert):
+            raise AssertionError("phase 1 produced an invalid Farkas certificate")
         return LPResult(status="infeasible", certificate=cert)
 
     # drive leftover artificials out of the basis; drop redundant rows

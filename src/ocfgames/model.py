@@ -320,8 +320,12 @@ def validate_structure(game: Game, cs: CoalitionStructure) -> list[str]:
     return problems
 
 
-def validate_outcome(game: Game, outcome: Outcome) -> list[str]:
-    """Check payoff distribution, support rule, individual rationality, sign policy."""
+def validate_outcome(
+    game: Game, outcome: Outcome, individual_rationality: bool = True
+) -> list[str]:
+    """Check payoff distribution, support rule, sign policy and, unless
+    ``individual_rationality`` is false, that no agent is paid below what it
+    earns alone (the one clause a core check decides rather than assumes)."""
     from ocfgames import welfare  # deferred: welfare builds on this module
 
     problems = validate_structure(game, outcome.structure)
@@ -336,6 +340,8 @@ def validate_outcome(game: Game, outcome: Outcome) -> list[str]:
                 problems.append(f"coalition {i}: non-contributor {j} paid {x}")
             if x < 0 and not outcome.allow_negative:
                 problems.append(f"coalition {i}: negative payoff {x} to agent {j}")
+    if not individual_rationality:
+        return problems
     p = payoff_vector(outcome) if outcome.payoffs else (ZERO,) * game.n
     for j in range(game.n):
         floor = welfare.vstar(game, frozenset([j]))

@@ -95,11 +95,10 @@ class KnapsackProfile:
 
 
 @lru_cache(maxsize=None)
-def knapsack_profile(game: TTG, limit: Optional[Fraction] = None) -> KnapsackProfile:
-    """Unbounded-knapsack utility profile up to ``limit`` (default: total weight)."""
+def knapsack_profile(game: TTG) -> KnapsackProfile:
+    """Unbounded-knapsack utility profile up to the game's total weight."""
     M = scale_factor(game)
-    top = game.total_weight() if limit is None else Q(limit)
-    W = floor(top * M)
+    W = int(game.total_weight() * M)
     items = [(int(t.threshold * M), t.utility) for t in game.tasks]
     U = [ZERO] * (W + 1)
     for w in range(1, W + 1):
@@ -121,14 +120,15 @@ def canonical_structure(game: TTG) -> CoalitionStructure:
     profile = knapsack_profile(game)
     chosen = profile.recover_tasks(profile.limit)
     total = game.total_weight()
-    coalitions = []
-    used = ZERO
-    for j in chosen:
-        T = game.tasks[j].threshold
-        coalitions.append(
-            PartialCoalition(tuple(w * T / total for w in game.weights))
+    # copies of one task share a single coalition object
+    per_task = {
+        j: PartialCoalition(
+            tuple(w * game.tasks[j].threshold / total for w in game.weights)
         )
-        used += T
+        for j in set(chosen)
+    }
+    coalitions = [per_task[j] for j in chosen]
+    used = sum((game.tasks[j].threshold for j in chosen), ZERO)
     leftover = total - used
     if leftover > 0:
         coalitions.append(

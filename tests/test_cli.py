@@ -130,3 +130,55 @@ def test_gen_reduction_round_trip(tmp_path, capsys):
     # target reachable -> the written outcome is not in the core
     assert cli.main(["check-core", "--game", str(game), "--kind", "c",
                      "--outcome", str(outcome)]) == 1
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("kind", ["c", "r", "o"])
+def test_check_core_rejects_an_outcome_that_overpays(tmp_path, capsys, kind):
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"agents": 2, "weights": [4, 6],
+                                "tasks": [{"threshold": 10, "utility": 25}]}))
+    outcome = tmp_path / "o.json"
+    outcome.write_text(json.dumps({"structure": [[4, 6]], "payoffs": [[200, 200]]}))
+    assert cli.main(["check-core", "--game", str(game), "--kind", kind,
+                     "--outcome", str(outcome), "--cap", "2"]) == 2
+    assert "payoffs sum to 400, value is 25" in _one_line_error(capsys)
+
+
+def test_deviate_rejects_an_over_capacity_structure(company, tmp_path, capsys):
+    game, _, _ = company
+    outcome = tmp_path / "o.json"
+    outcome.write_text(json.dumps({"structure": [[5, 6]], "payoffs": [[0, 0]]}))
+    assert cli.main(["deviate", "--game", game, "--outcome", str(outcome),
+                     "--kind", "c", "--set", "1"]) == 2
+    assert "over capacity" in _one_line_error(capsys)
+
+
+def test_fractional_payoff_literal_exits_two(company, capsys):
+    game, _, _ = company
+    assert cli.main(["check-core", "--game", game, "--kind", "f",
+                     "--payoffs", "1.5,28.5"]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("doc", [
+    {"agents": 2, "weights": [4, 6], "tasks": [{"threshold": 10}]},
+    {"agents": 2, "weights": ["4.5", 6], "tasks": [{"threshold": 10, "utility": 25}]},
+], ids=["missing-utility", "decimal-weight"])
+def test_malformed_game_file_exits_two(tmp_path, capsys, doc):
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps(doc))
+    assert cli.main(["welfare", "--game", str(game), "--mode", "overlapping"]) == 2
+    _one_line_error(capsys)
+
+
+def test_malformed_order_exits_two(company, capsys):
+    game, _, _ = company
+    assert cli.main(["convexity", "--game", game, "--construct",
+                     "--order", "1,x"]) == 2
+    _one_line_error(capsys)
