@@ -232,22 +232,10 @@ def _cmd_examples(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.reduction:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        inst = io.load_problem(args.problem, args.reduction)
         if args.reduction == "knapsack":
-            inst = reductions.KnapsackInstance(
-                tuple((int(s), int(z)) for s, z in doc["items"]),
-                int(doc["capacity"]),
-                int(doc["target"]),
-            )
             game, outcome = reductions.from_knapsack(inst)
         else:
-            inst = reductions.BicliqueInstance(
-                int(doc["left"]),
-                int(doc["right"]),
-                frozenset((int(a) - 1, int(b) - 1) for a, b in doc["edges"]),
-                int(doc["target"]),
-            )
             game, outcome = reductions.from_biclique(inst)
         io.save_game(game, args.game_out)
         io.save_outcome(outcome, args.outcome_out)
@@ -390,8 +378,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen" and args.reduction and not args.outcome_out:
-            raise GameError("--reduction needs --outcome-out")
+        if args.command == "gen" and args.reduction:
+            if not args.problem:
+                raise GameError("--reduction needs --problem")
+            if not args.outcome_out:
+                raise GameError("--reduction needs --outcome-out")
         return args.func(args)
     except GameError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -14,6 +14,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import FrozenSet, Iterable, Optional, Sequence
 
 from ocfgames import lp, welfare
@@ -33,9 +34,12 @@ from ocfgames.rationals import Q, common_denominator
 
 ZERO = Q(0)
 SUBSET_GUARD = 16
+# Agent sets of games up to this size are built once and shared between
+# enumerations (2 047 frozensets in all); larger games enumerate afresh.
+SHARED_SUBSETS_MAX_N = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BalancedCollection:
     """Dual weights certifying that a structure cannot be stabilized.
 
@@ -80,7 +84,7 @@ class BalancedCollection:
         return problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoreVerdict:
     stable: bool
     witness: Optional[FrozenSet[int]] = None  # a blocking agent set
@@ -92,11 +96,24 @@ class CoreVerdict:
     deviation: Optional[object] = None  # DeviationResult when found by a search
 
 
-def _subsets(n: int) -> Iterable[tuple[int, ...]]:
+def _subsets(n: int) -> Iterable[FrozenSet[int]]:
     """All nonempty agent sets, lexicographically by sorted member tuple."""
-    return itertools.chain.from_iterable(
-        itertools.combinations(range(n), k) for k in range(1, n + 1)
+    if n <= SHARED_SUBSETS_MAX_N:
+        return _shared_subsets(n)
+    return _agent_sets(n)
+
+
+def _agent_sets(n: int) -> Iterable[FrozenSet[int]]:
+    return (
+        frozenset(S)
+        for k in range(1, n + 1)
+        for S in itertools.combinations(range(n), k)
     )
+
+
+@lru_cache(maxsize=None)  # keys are n <= SHARED_SUBSETS_MAX_N only
+def _shared_subsets(n: int) -> tuple[FrozenSet[int], ...]:
+    return tuple(_agent_sets(n))
 
 
 def check_group_rationality(
@@ -130,7 +147,7 @@ def _check_subsets(
         if have < need:
             return CoreVerdict(
                 stable=False,
-                witness=frozenset(S),
+                witness=S,
                 witness_value=need,
                 shortfall=need - have,
             )
@@ -316,7 +333,7 @@ def stabilize_structure(game: Game, cs: CoalitionStructure) -> CoreVerdict:
             if j in S:
                 coeffs[k] = Q(1)
         constraints.append((tuple(coeffs), ">=", welfare.vstar(game, S)))
-        subset_rows.append(frozenset(S))
+        subset_rows.append(S)
     for i, sup in enumerate(supports):
         coeffs = [ZERO] * nvars
         for j in sup:

@@ -45,7 +45,7 @@ ZERO = Q(0)
 RULE_VECTOR_LIMIT = 200_000  # product-space guard for rule-based enumerations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviationPlan:
     """What the deviators do to each original coalition, plus what they build.
 
@@ -61,7 +61,7 @@ class DeviationPlan:
     new_structure: CoalitionStructure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviationResult:
     found: bool
     plan: Optional[DeviationPlan] = None
@@ -322,11 +322,12 @@ class _Search:
         return new_vecs, division
 
 
-def _expand(vec: Sequence[int], Js: Sequence[int], n: int) -> list[int]:
-    row = [0] * n
-    for j, u in zip(Js, vec):
+def _embed(units: Sequence[Fraction], Js: Sequence[int], n: int) -> tuple[Fraction, ...]:
+    """A full-width row: ``units`` at the positions ``Js``, zero elsewhere."""
+    row = [ZERO] * n
+    for j, u in zip(Js, units):
         row[j] = u
-    return row
+    return tuple(row)
 
 
 def _compositions(total: int, caps: Sequence[int], g: int):
@@ -410,13 +411,17 @@ def _package(ctx: _Search, cand: _Candidate, hit, resolution) -> DeviationResult
     payoff_rows = tuple(
         tuple(shares.get(j, ZERO) for j in range(n)) for shares in division
     )
+
+    def unit(u: int) -> Fraction:
+        return Q(u, ctx.M) if u else ZERO
+
+    # non-deviators keep the outcome's own contribution entries
+    original = ctx.outcome.structure.coalitions
     modified_full = tuple(
         (
             i,
             tuple(
-                Q(vec[ctx.Js.index(j)], ctx.M)
-                if j in ctx.J
-                else Q(ctx.units[i][j], ctx.M)
+                unit(vec[ctx.Js.index(j)]) if j in ctx.J else original[i].units[j]
                 for j in range(n)
             ),
         )
@@ -429,7 +434,7 @@ def _package(ctx: _Search, cand: _Candidate, hit, resolution) -> DeviationResult
         modified=modified_full,
         new_structure=CoalitionStructure(
             tuple(
-                PartialCoalition(tuple(Q(u, ctx.M) for u in _expand(vec, ctx.Js, n)))
+                PartialCoalition(_embed([unit(u) for u in vec], ctx.Js, n))
                 for vec in new_vecs
             )
         ),
@@ -476,7 +481,7 @@ def find_c_deviation(
             return DeviationResult(found=False, resolution=resolution)
         sub = TTG(tuple(game.weights[j] for j in ctx.Js), game.tasks)
         coalitions = tuple(
-            PartialCoalition(tuple(_embed(c.units, ctx.Js, game.n)))
+            PartialCoalition(_embed(c.units, ctx.Js, game.n))
             for c in welfare.canonical_structure(sub).coalitions
         )
         surplus = (best - total_p) / len(ctx.Js)
@@ -664,13 +669,6 @@ def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], Fraction]]:
     return sorted(mods.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
 
-def _embed(units: Sequence[Fraction], Js: Sequence[int], n: int) -> list[Fraction]:
-    row = [ZERO] * n
-    for j, u in zip(Js, units):
-        row[j] = u
-    return row
-
-
 FINDERS = {
     "c": find_c_deviation,
     "r": find_r_deviation,
@@ -697,10 +695,10 @@ def core_membership(
             gains_total = sum(result.gains.values(), ZERO)
             return CoreVerdict(
                 stable=False,
-                witness=frozenset(S),
+                witness=result.plan.deviators,
                 witness_value=sum((p[j] for j in S), ZERO) + gains_total,
                 shortfall=gains_total,
-                resolution=(cap, grid),
+                resolution=result.resolution,
                 deviation=result,
             )
     return CoreVerdict(stable=True, resolution=(cap, grid))

@@ -26,6 +26,7 @@ from ocfgames.model import (
     TTG,
 )
 from ocfgames.rationals import as_q, q_str
+from ocfgames.reductions import BicliqueInstance, KnapsackInstance
 
 
 def _reject_float(text: str) -> Fraction:
@@ -61,6 +62,20 @@ def _field(obj, key: str, what: str):
     if key not in obj:
         raise GameError(f"{what} without a {key!r} key")
     return obj[key]
+
+
+def _int(value, what: str) -> int:
+    q = _q(value, what)
+    if q.denominator != 1:
+        raise GameError(f"{what} must be an integer, not {value!r}")
+    return q.numerator
+
+
+def _int_pair(value, what: str) -> tuple[int, int]:
+    pair = _array(value, what)
+    if len(pair) != 2:
+        raise GameError(f"{what} must be a pair of integers")
+    return _int(pair[0], what), _int(pair[1], what)
 
 
 def _rationals(values, what: str) -> tuple[Fraction, ...]:
@@ -173,6 +188,32 @@ def load_game(path: str) -> Game:
 def load_outcome(path: str, game: Game) -> Outcome:
     with open(path, "r", encoding="utf-8") as fh:
         return outcome_from_dict(_loads(fh.read()), game)
+
+
+def load_problem(path: str, kind: str) -> Union[KnapsackInstance, BicliqueInstance]:
+    """A ``knapsack`` problem (``items`` as [size, value] pairs, ``capacity``,
+    ``target``) or a ``biclique`` problem (``left``, ``right``, ``edges`` as
+    1-based [left, right] pairs, ``target``)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = _loads(fh.read())
+    what = f"{kind} problem"
+
+    def number(key: str) -> int:
+        return _int(_field(doc, key, what), repr(key))
+
+    def pairs(key: str, item: str) -> list[tuple[int, int]]:
+        return [_int_pair(v, item) for v in _array(_field(doc, key, what), repr(key))]
+
+    if kind == "knapsack":
+        return KnapsackInstance(
+            tuple(pairs("items", "knapsack item")), number("capacity"), number("target")
+        )
+    return BicliqueInstance(
+        number("left"),
+        number("right"),
+        frozenset((a - 1, b - 1) for a, b in pairs("edges", "edge")),
+        number("target"),
+    )
 
 
 def _dump(doc: dict, path: str) -> None:

@@ -1,16 +1,23 @@
 """Exact linear programming over rationals.
 
-A small dense two-phase simplex with Bland's anti-cycling rule.  Everything
-is a ``fractions.Fraction``, so results are exact; infeasible programs come
-back with a certificate (one multiplier per constraint) that provably rules
-out any feasible point, and every answer is re-checked against the original
-constraints before it is returned.
+A small dense two-phase simplex with Bland's anti-cycling rule.  The tableau
+is fraction-free: every row, and the reduced-cost row, is a list of Python
+ints over one positive denominator, kept in lowest terms, and a pivot is an
+integer combination of two rows (in the spirit of Bareiss's fraction-free
+elimination).  ``fractions.Fraction`` appears only at the boundary: the
+constraints are read into integer rows, and the assignment, the objective
+value and the certificate are read back out as Fractions.  Results are
+exact; infeasible programs come back with a certificate (one multiplier per
+constraint) that provably rules out any feasible point, and every answer is
+re-checked against the original constraints, in Fractions, before it is
+returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from ocfgames.rationals import Q
@@ -24,7 +31,10 @@ RELATIONS = ("<=", "==", ">=")
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Variables are nonnegative unless listed in ``free``."""
+    """Variables are nonnegative unless listed in ``free``.
+
+    Coefficients and right-hand sides are ints or ``Fraction``s.
+    """
 
     names: tuple[str, ...]
     constraints: tuple[Constraint, ...]
@@ -46,7 +56,7 @@ class LinearProgram:
             raise ValueError("free-variable index out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LPResult:
     status: str  # "optimal" | "feasible" | "infeasible" | "unbounded"
     assignment: Optional[tuple[Fraction, ...]] = None
@@ -54,44 +64,82 @@ class LPResult:
     certificate: Optional[tuple[Fraction, ...]] = None
 
 
-def _pivot(rows: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    piv = rows[r][c]
-    if piv != 1:
-        inv = 1 / piv
-        rows[r] = [x * inv for x in rows[r]]
+# Tableau row i is the list of ints rows[i] over the denominator dens[i] > 0:
+# its entries are rows[i][j] / dens[i], and the last one is the right-hand
+# side.
+
+
+def _sub_multiple(row: list[int], d: int, fn: int, fd: int,
+                  prow: list[int], pd: int) -> tuple[list[int], int]:
+    """``row/d - (fn/fd) * prow/pd`` in lowest terms; ``fd`` and ``pd`` > 0."""
+    a = fd * pd
+    b = fn * d
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    new = [x * a - y * b for x, y in zip(row, prow)]
+    den = d * a
+    g = gcd(den, *new)
+    if g != 1:
+        new = [x // g for x in new]
+        den //= g
+    return new, den
+
+
+def _pivot(rows: list[list[int]], dens: list[int], basis: list[int],
+           r: int, c: int) -> None:
     prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        prow = [-x for x in prow]
+        p = -p
+    g = gcd(*prow)  # divides p, so the pivot entry stays equal to the denominator
+    if g != 1:
+        prow = [x // g for x in prow]
+        p //= g
+    rows[r] = prow
+    dens[r] = p
     for i, row in enumerate(rows):
         if i == r:
             continue
         f = row[c]
         if f == 0:
             continue
-        rows[i] = [a - f * b for a, b in zip(row, prow)]
+        rows[i], dens[i] = _sub_multiple(row, dens[i], f, dens[i], prow, p)
     basis[r] = c
 
 
-def _objective_row(
-    rows: list[list[Fraction]], basis: list[int], cost: list[Fraction]
-) -> list[Fraction]:
-    """Reduced costs (and negated objective value in the last slot)."""
-    width = len(rows[0])
-    z = [cost[j] if j < len(cost) else ZERO for j in range(width - 1)] + [ZERO]
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as ints over their least common denominator."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _objective_row(rows: list[list[int]], dens: list[int], basis: list[int],
+                   cost: list[int], cd: int) -> tuple[list[int], int]:
+    """Reduced costs (and negated objective value in the last slot) of the
+    cost vector ``cost / cd``."""
+    z, dz = cost + [0], cd
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb == 0:
             continue
-        z = [a - cb * t for a, t in zip(z, rows[i])]
-    return z
+        z, dz = _sub_multiple(z, dz, cb, cd, rows[i], dens[i])
+    return z, dz
 
 
 def _run_simplex(
-    rows: list[list[Fraction]],
+    rows: list[list[int]],
+    dens: list[int],
     basis: list[int],
-    cost: list[Fraction],
+    cost: list[int],
+    cd: int,
     blocked: frozenset[int],
-) -> tuple[str, list[Fraction]]:
-    """Minimize cost over the tableau in place; returns (status, reduced costs)."""
-    z = _objective_row(rows, basis, cost)
+) -> tuple[str, list[int], int]:
+    """Minimize ``cost / cd`` over the tableau in place; returns (status,
+    reduced costs as ints over a positive denominator)."""
+    z, dz = _objective_row(rows, dens, basis, cost, cd)
     ncols = len(rows[0]) - 1
     while True:
         enter = -1
@@ -100,19 +148,20 @@ def _run_simplex(
                 enter = j
                 break
         if enter < 0:
-            return "optimal", z
-        leave, best = -1, None
+            return "optimal", z, dz
+        # least ratio rhs/a over a > 0; the row denominators cancel
+        leave, best_rhs, best_a = -1, 0, 1
         for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                lhs = row[-1] * best_a
+                rhs = best_rhs * a
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, row[-1], a
         if leave < 0:
-            return "unbounded", z
-        _pivot(rows, basis, leave, enter)
-        f = z[enter]
-        z = [a - f * b for a, b in zip(z, rows[leave])]
+            return "unbounded", z, dz
+        _pivot(rows, dens, basis, leave, enter)
+        z, dz = _sub_multiple(z, dz, z[enter], dz, rows[leave], dens[leave])
 
 
 def solve(program: LinearProgram) -> LPResult:
@@ -130,39 +179,41 @@ def solve(program: LinearProgram) -> LPResult:
     nstruct = col
     m = len(program.constraints)
     ncols = nstruct + nslack + m  # + artificials, one per row
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
+    dens: list[int] = []
     signs: list[int] = []
     si = 0
     for i, (coeffs, rel, rhs) in enumerate(program.constraints):
-        row = [ZERO] * (ncols + 1)
-        for j, a in enumerate(coeffs):
-            row[j] = Q(a)
+        nonzero = [(j, a) for j, a in enumerate(coeffs) if a]
+        d = lcm(rhs.denominator, *(a.denominator for _, a in nonzero))
+        sign = -1 if rhs < 0 else 1
+        row = [0] * (ncols + 1)
+        for j, a in nonzero:
+            v = sign * a.numerator * (d // a.denominator)
+            row[j] = v
             if j in mirror:
-                row[mirror[j]] = -Q(a)
+                row[mirror[j]] = -v
         if rel != "==":
-            row[nstruct + si] = ONE if rel == "<=" else -ONE
+            row[nstruct + si] = sign * d if rel == "<=" else -sign * d
             si += 1
-        row[-1] = Q(rhs)
-        sign = 1
-        if row[-1] < 0:
-            sign = -1
-            row = [-x for x in row]
-        row[nstruct + nslack + i] = ONE
+        row[-1] = sign * rhs.numerator * (d // rhs.denominator)
+        row[nstruct + nslack + i] = d
         rows.append(row)
+        dens.append(d)
         signs.append(sign)
     artificials = frozenset(range(nstruct + nslack, ncols))
     basis = list(range(nstruct + nslack, ncols))
 
-    cost1 = [ZERO] * ncols
+    cost1 = [0] * ncols
     for j in artificials:
-        cost1[j] = ONE
-    status, z = _run_simplex(rows, basis, cost1, frozenset())
+        cost1[j] = 1
+    status, z, dz = _run_simplex(rows, dens, basis, cost1, 1, frozenset())
     if status != "optimal":
         raise AssertionError(f"phase 1 ended {status}; it is bounded below by 0")
-    infeas = -z[-1]  # phase-1 objective value
-    if infeas > 0:
-        y = [ONE - z[nstruct + nslack + i] for i in range(m)]
-        cert = tuple(signs[i] * y[i] for i in range(m))
+    if z[-1] < 0:  # the phase-1 objective value, -z[-1]/dz, is positive
+        cert = tuple(
+            signs[i] * Q(dz - z[nstruct + nslack + i], dz) for i in range(m)
+        )
         if not verify_infeasibility(program, cert):
             raise AssertionError("phase 1 produced an invalid Farkas certificate")
         return LPResult(status="infeasible", certificate=cert)
@@ -176,13 +227,14 @@ def solve(program: LinearProgram) -> LPResult:
             )
             if piv is None:
                 continue  # redundant row
-            _pivot(rows, basis, i, piv)
+            _pivot(rows, dens, basis, i, piv)
         keep.append(i)
     rows = [rows[i] for i in keep]
+    dens = [dens[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     if program.objective is None:
-        x = _assignment(program, rows, basis, n, mirror)
+        x = _assignment(rows, dens, basis, n, mirror)
         _check_feasible(program, x)
         return LPResult(status="feasible", assignment=x)
 
@@ -193,10 +245,10 @@ def solve(program: LinearProgram) -> LPResult:
         cost2[j] = a
         if j in mirror:
             cost2[mirror[j]] = -a
-    status, z = _run_simplex(rows, basis, cost2, artificials)
+    status, z, dz = _run_simplex(rows, dens, basis, *_scaled(cost2), artificials)
     if status == "unbounded":
         return LPResult(status="unbounded")
-    x = _assignment(program, rows, basis, n, mirror)
+    x = _assignment(rows, dens, basis, n, mirror)
     _check_feasible(program, x)
     obj = sum((Q(a) * v for a, v in zip(coeffs, x)), ZERO)
     return LPResult(status="optimal", assignment=x, objective_value=obj)
@@ -214,10 +266,10 @@ def _solve_unconstrained(program: LinearProgram) -> LPResult:
     return LPResult(status="optimal", assignment=x, objective_value=ZERO)
 
 
-def _assignment(program, rows, basis, n, mirror) -> tuple[Fraction, ...]:
+def _assignment(rows, dens, basis, n, mirror) -> tuple[Fraction, ...]:
     vals: dict[int, Fraction] = {}
     for i, b in enumerate(basis):
-        vals[b] = rows[i][-1]
+        vals[b] = Q(rows[i][-1], dens[i])
     return tuple(
         vals.get(j, ZERO) - (vals.get(mirror[j], ZERO) if j in mirror else ZERO)
         for j in range(n)

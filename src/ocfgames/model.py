@@ -184,7 +184,7 @@ Game = Union[TTG, RuleBasedGame]
 # coalitions, structures, outcomes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialCoalition:
     """Per-agent contributions in weight units."""
 
@@ -215,7 +215,7 @@ def crisp(game: Game, agents: Iterable[int]) -> PartialCoalition:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoalitionStructure:
     """Finite list of partial coalitions; duplicates allowed."""
 
@@ -240,7 +240,7 @@ class CoalitionStructure:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """A structure together with a per-coalition payoff matrix.
 

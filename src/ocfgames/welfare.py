@@ -29,6 +29,11 @@ from ocfgames.model import (
 from ocfgames.rationals import Q, common_denominator
 
 ZERO = Q(0)
+# Cache budgets (entries, least recently used evicted first): profiles are
+# one per game and can hold thousands of cells each; standalone optima are
+# one per (game, agent set, cap) and small.
+PROFILE_CACHE_SIZE = 256
+VSTAR_CACHE_SIZE = 1024
 
 
 def scale_factor(game: TTG) -> int:
@@ -94,7 +99,7 @@ class KnapsackProfile:
         return tuple(sorted(chosen))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def knapsack_profile(game: TTG) -> KnapsackProfile:
     """Unbounded-knapsack utility profile up to the game's total weight."""
     M = scale_factor(game)
@@ -214,7 +219,7 @@ def vstar(
     return _vstar_cached(game, S, cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VSTAR_CACHE_SIZE)
 def _vstar_cached(game: Game, S: FrozenSet[int], cap: Optional[int]) -> Fraction:
     if not S:
         return ZERO

@@ -4,8 +4,12 @@ oracles used to cross-check the package's exact algorithms."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import tempfile
 from fractions import Fraction as Q
+
+from hypothesis import settings
 
 from ocfgames.model import (
     CoalitionStructure,
@@ -16,6 +20,20 @@ from ocfgames.model import (
 )
 
 ZERO = Q(0)
+
+# Property tests draw the same examples on every run (derandomize), take as
+# long as a loaded machine needs (no deadline) and keep no example database,
+# so the suite is reproducible.  Hypothesis also caches the literals it reads
+# from source files; that cache goes to the system temporary directory, so
+# the suite writes no .hypothesis/ directory into the checkout.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY",
+    os.path.join(tempfile.gettempdir(), "ocfgames-hypothesis"),
+)
+settings.register_profile(
+    "ocfgames", derandomize=True, deadline=None, database=None
+)
+settings.load_profile("ocfgames")
 
 # One "ACCEPTANCE k: pass|FAIL" line per criterion, filled in by
 # test_acceptance and replayed after the run (survives output capture).

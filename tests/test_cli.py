@@ -182,3 +182,27 @@ def test_malformed_order_exits_two(company, capsys):
     assert cli.main(["convexity", "--game", game, "--construct",
                      "--order", "1,x"]) == 2
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("reduction, doc, message", [
+    ("knapsack", None, "needs --problem"),
+    ("knapsack", {"capacity": 3}, "without a 'items' key"),
+    ("knapsack", {"items": [[1, 2]], "capacity": "x", "target": 5}, "'capacity'"),
+    ("knapsack", {"items": [[1, 2, 3]], "capacity": 3, "target": 5}, "pair"),
+    ("biclique", {"right": 2, "edges": [[1, 1]], "target": 1}, "without a 'left' key"),
+    ("biclique", {"left": 2, "right": 2, "edges": [[1, "1/2"]], "target": 1},
+     "must be an integer"),
+], ids=["missing-problem", "missing-items", "non-integer-capacity", "item-triple",
+        "missing-left", "fractional-edge"])
+def test_gen_reduction_rejects_a_malformed_problem(tmp_path, capsys, reduction, doc,
+                                                  message):
+    args = ["gen", "--reduction", reduction,
+            "--game-out", str(tmp_path / "g.json"),
+            "--outcome-out", str(tmp_path / "o.json")]
+    if doc is not None:
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(doc))
+        args += ["--problem", str(problem)]
+    assert cli.main(args) == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "g.json").exists()

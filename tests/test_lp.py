@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocfgames import lp
 
@@ -133,3 +135,120 @@ def test_optimal_assignment_satisfies_all_constraints():
             else:
                 assert lhs == rhs
         assert all(v >= 0 for v in result.assignment)
+
+
+# -- an independent oracle: brute-force vertex enumeration ------------------
+#
+# Free variables are split into two nonnegative columns, so the feasible
+# region lies in the nonnegative orthant and has a vertex whenever it is
+# nonempty.  A vertex is a feasible solution of k linearly independent
+# active constraints (k = number of columns) among the rows and the bounds
+# y >= 0, solved by Gauss-Jordan elimination for every choice of them.  The
+# program is unbounded iff some extreme ray (a vertex of the recession cone
+# cut by sum(y) == 1) improves the objective; otherwise the optimum is the
+# best vertex.
+
+
+def _solve_square(rows, rhs):
+    """The unique solution of rows . y == rhs, or None if singular."""
+    k = len(rows)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [v / lead for v in aug[col]]
+        for i in range(k):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [aug[i][k] for i in range(k)]
+
+
+def _holds(lhs, rel, rhs):
+    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+
+
+def _vertices(rows, k):
+    """Vertices of {y >= 0 : every (coeffs, rel, rhs) row holds} in Q^k.
+
+    A vertex makes r rows and k - r bounds active: the bounds zero every
+    column outside some r-set, and the r rows fix the columns inside it.
+    """
+    found = set()
+    for r in range(min(len(rows), k) + 1):
+        for active in itertools.combinations(rows, r):
+            for inside in itertools.combinations(range(k), r):
+                sol = _solve_square([[a[j] for j in inside] for a, _, _ in active],
+                                    [b for _, _, b in active])
+                if sol is None or any(v < 0 for v in sol):
+                    continue
+                y = [ZERO] * k
+                for j, v in zip(inside, sol):
+                    y[j] = v
+                if all(_holds(sum((a * v for a, v in zip(coeffs, y)), ZERO), rel, rhs)
+                       for coeffs, rel, rhs in rows):
+                    found.add(tuple(y))
+    return found
+
+
+def _brute_force(program):
+    """(status, optimal value or None) by vertex enumeration."""
+    cols = list(range(len(program.names)))
+    split = sorted(program.free)
+
+    def widen(coeffs):
+        return tuple(Q(coeffs[j]) for j in cols) + tuple(-Q(coeffs[j]) for j in split)
+
+    k = len(cols) + len(split)
+    rows = [(widen(c), rel, Q(b)) for c, rel, b in program.constraints]
+    points = _vertices(rows, k)
+    if not points:
+        return "infeasible", None
+    if program.objective is None:
+        return "feasible", None
+    coeffs, sense = program.objective
+    c = widen(coeffs)
+    sign = 1 if sense == "max" else -1
+    cone = [(a, rel, ZERO) for a, rel, _ in rows] + [((Q(1),) * k, "==", Q(1))]
+    if any(sign * sum((a * d for a, d in zip(c, ray)), ZERO) > 0
+           for ray in _vertices(cone, k)):
+        return "unbounded", None
+    values = [sum((a * y for a, y in zip(c, p)), ZERO) for p in points]
+    return "optimal", max(values) if sense == "max" else min(values)
+
+
+_rationals = st.builds(Q, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3)))
+
+
+@st.composite
+def _tiny_programs(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    vector = st.tuples(*[_rationals] * n)
+    constraints = tuple(
+        (draw(vector), draw(st.sampled_from(lp.RELATIONS)), draw(_rationals))
+        for _ in range(m)
+    )
+    objective = draw(st.one_of(
+        st.none(), st.tuples(vector, st.sampled_from(("max", "min")))
+    ))
+    free = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    return lp.LinearProgram(tuple(f"x{j}" for j in range(n)), constraints,
+                            objective, free)
+
+
+@settings(max_examples=400)
+@given(_tiny_programs())
+def test_solve_agrees_with_vertex_enumeration(program):
+    status, value = _brute_force(program)
+    result = lp.solve(program)
+    assert result.status == status
+    if status == "optimal":
+        assert result.objective_value == value
+        coeffs, _ = program.objective
+        assert value == sum((a * x for a, x in zip(coeffs, result.assignment)), ZERO)
+    if status == "infeasible":
+        assert lp.verify_infeasibility(program, result.certificate)

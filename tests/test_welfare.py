@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -116,3 +117,24 @@ def test_vstar_is_monotone_under_set_inclusion(seed):
     v_big = welfare.vstar(g, members)
     assert v_big >= (welfare.vstar(g, sub) if sub else ZERO)
     assert welfare.vstar(g, range(g.n)) >= v_big
+
+
+def test_bounded_caches_evict_and_recompute_equal_values():
+    games = [TTG((Q(1), Q(2), Q(3)), (TaskType(Q(3), Q(u)),))
+             for u in range(1, welfare.PROFILE_CACHE_SIZE + 60)]
+    agent_sets = [S for r in (1, 2, 3) for S in itertools.combinations(range(3), r)]
+    assert len(games) * len(agent_sets) > welfare.VSTAR_CACHE_SIZE
+    welfare.knapsack_profile.cache_clear()
+    welfare._vstar_cached.cache_clear()
+    first = [[welfare.vstar(g, S) for S in agent_sets] for g in games]
+    for cache, budget in ((welfare.knapsack_profile, welfare.PROFILE_CACHE_SIZE),
+                          (welfare._vstar_cached, welfare.VSTAR_CACHE_SIZE)):
+        info = cache.cache_info()
+        assert info.maxsize == budget and info.currsize == budget
+    misses = welfare._vstar_cached.cache_info().misses
+    again = [[welfare.vstar(g, S) for S in agent_sets] for g in games]
+    assert welfare._vstar_cached.cache_info().misses > misses  # evicted, recomputed
+    assert again == first
+    for g, values in zip(games, first):
+        for S, v in zip(agent_sets, values):
+            assert v == brute_best_utility(g, sum(g.weights[j] for j in S))
