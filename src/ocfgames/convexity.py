@@ -65,14 +65,8 @@ def _built_structures(ctx: _Search) -> list[list[tuple[tuple[int, ...], Fraction
 
 def _rows_and_supports(ctx: _Search, built):
     """Full-width unit rows plus per-coalition supporter index sets."""
-    rows = []
-    supports = []
-    for vec, _ in built:
-        row = [ZERO] * ctx.game.n
-        for j, u in zip(ctx.Js, vec):
-            row[j] = Q(u, ctx.M)
-        rows.append(tuple(row))
-        supports.append(tuple(j for j, u in zip(ctx.Js, vec) if u > 0))
+    rows = [ctx.scaled_row(vec) for vec, _ in built]
+    supports = [tuple(j for j, u in zip(ctx.Js, vec) if u > 0) for vec, _ in built]
     return rows, supports
 
 
@@ -83,52 +77,30 @@ def _divide(game, built, supports, floors, maximize: Optional[int]):
     the floors cannot be met.  With maximize=None this is a pure
     feasibility check and the objective is zero.
     """
-    names = []
-    var = {}
-    for c, sup in enumerate(supports):
-        for j in sup:
-            var[(c, j)] = len(names)
-            names.append(f"y_{c}_{j}")
     agents = sorted({j for sup in supports for j in sup} | set(floors))
-    if not names:
+    if not any(supports):
         if any(f > 0 for f in floors.values()):
             return None
         return ZERO, {j: ZERO for j in agents}, []
-    constraints = []
-    for c, (vec_value, sup) in enumerate(zip((v for _, v in built), supports)):
-        coeffs = [ZERO] * len(names)
-        for j in sup:
-            coeffs[var[(c, j)]] = Q(1)
-        constraints.append((tuple(coeffs), "==", vec_value))
+    builder = lp.ProgramBuilder()
+    for c, ((_, value), sup) in enumerate(zip(built, supports)):
+        builder.add([(c, j) for j in sup], "==", value)
     for j, floor in floors.items():
         if floor <= 0:
             continue
-        coeffs = [ZERO] * len(names)
-        hit = False
-        for c, sup in enumerate(supports):
-            if j in sup:
-                coeffs[var[(c, j)]] = Q(1)
-                hit = True
-        if not hit:
+        held = [(c, j) for c, sup in enumerate(supports) if j in sup]
+        if not held:
             return None
-        constraints.append((tuple(coeffs), ">=", floor))
+        builder.add(held, ">=", floor)
     objective = None
     if maximize is not None:
-        obj = [ZERO] * len(names)
-        for c, sup in enumerate(supports):
-            if maximize in sup:
-                obj[var[(c, maximize)]] = Q(1)
-        objective = (tuple(obj), "max")
-    program = lp.LinearProgram(tuple(names), tuple(constraints), objective)
-    result = lp.solve(program)
+        objective = [(c, maximize) for c, sup in enumerate(supports) if maximize in sup]
+    result, x = builder.solve(maximize=objective)
     if result.status == "infeasible":
         return None
     if result.status not in ("optimal", "feasible"):
         raise AssertionError(f"division LP ended {result.status}")
-    shares = [
-        {j: result.assignment[var[(c, j)]] for j in sup}
-        for c, sup in enumerate(supports)
-    ]
+    shares = [{j: x[c, j] for j in sup} for c, sup in enumerate(supports)]
     pays = {j: ZERO for j in agents}
     for share in shares:
         for j, amount in share.items():

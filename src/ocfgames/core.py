@@ -185,10 +185,9 @@ def _scaled_payoffs(payoffs: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def min_payoff_table(game: TTG, payoffs: Sequence[Fraction]) -> MinPayoffTable:
-    M = welfare.scale_factor(game)
+    M, W = welfare.scaled_total_weight(game)
     weights = [int(w * M) for w in game.weights]
     D, ints = _scaled_payoffs(payoffs)
-    W = sum(weights)
     # Row i is feasible exactly up to the first i agents' total weight, so
     # inside that prefix both branches of the recurrence are integers.
     row = [0]
@@ -278,10 +277,8 @@ def stabilize(game: TTG) -> CoreVerdict:
         empty = Outcome(CoalitionStructure(()), ())
         return CoreVerdict(stable=True, outcome=empty)
     n = game.n
-    names = tuple(f"p_{j}" for j in range(n))
-    base = lp.LinearProgram(
-        names, (((Q(1),) * n, "==", total),)
-    )
+    builder = lp.ProgramBuilder()
+    builder.add(range(n), "==", total)
 
     def oracle(assignment):
         verdict = ttg_payoff_membership(game, assignment)
@@ -291,7 +288,7 @@ def stabilize(game: TTG) -> CoreVerdict:
         coeffs = tuple(Q(1) if j in S else ZERO for j in range(n))
         return (coeffs, ">=", welfare.vstar(game, S))
 
-    result, _ = lp.solve_with_separation(base, oracle)
+    result, _ = lp.solve_with_separation(builder.program(), oracle)
     if result.status == "infeasible":
         return CoreVerdict(stable=False, certificate=None)
     p = result.assignment
@@ -317,41 +314,19 @@ def stabilize_structure(game: Game, cs: CoalitionStructure) -> CoreVerdict:
     n = game.n
     if n > SUBSET_GUARD:
         raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
-    supports = [sorted(c.support) for c in cs.coalitions]
-    var = {}
-    names = []
-    for i, sup in enumerate(supports):
-        for j in sup:
-            var[(i, j)] = len(names)
-            names.append(f"x_{i}_{j}")
-    nvars = len(names)
-    constraints = []
-    subset_rows = []
-    for S in _subsets(n):
-        coeffs = [ZERO] * nvars
-        for (i, j), k in var.items():
-            if j in S:
-                coeffs[k] = Q(1)
-        constraints.append((tuple(coeffs), ">=", welfare.vstar(game, S)))
-        subset_rows.append(S)
-    for i, sup in enumerate(supports):
-        coeffs = [ZERO] * nvars
-        for j in sup:
-            coeffs[var[(i, j)]] = Q(1)
-        constraints.append(
-            (tuple(coeffs), "==", game.value(cs.coalitions[i].units))
-        )
-    program = lp.LinearProgram(
-        tuple(names), tuple(constraints), free=frozenset(range(nvars))
-    )
-    result = lp.solve(program)
+    entries = [(i, j) for i, c in enumerate(cs.coalitions) for j in sorted(c.support)]
+    builder = lp.ProgramBuilder()
+    for key in entries:
+        builder.var(key)
+    subset_rows = list(_subsets(n))
+    for S in subset_rows:
+        builder.add([(i, j) for i, j in entries if j in S], ">=", welfare.vstar(game, S))
+    for i, c in enumerate(cs.coalitions):
+        builder.add([(i, j) for j in sorted(c.support)], "==", game.value(c.units))
+    result, x = builder.solve(free=True)
     if result.status != "infeasible":
         payoffs = tuple(
-            tuple(
-                result.assignment[var[(i, j)]] if (i, j) in var else ZERO
-                for j in range(n)
-            )
-            for i in range(len(cs))
+            tuple(x.get((i, j), ZERO) for j in range(n)) for i in range(len(cs))
         )
         outcome = Outcome(cs, payoffs, allow_negative=True)
         return CoreVerdict(stable=True, outcome=outcome)
@@ -426,11 +401,10 @@ def nonoverlapping_core_check(
                 f"payoffs for block {sorted(S)} sum to {have}, block value is {want}"
             )
     table = min_payoff_table(game, p)
-    M = table.scale
+    M, limit = welfare.scaled_total_weight(game)
     # tasks are sorted by threshold and utility: the best single task a pooled
     # weight completes is the last one whose threshold it meets
     thresholds = [int(t.threshold * M) for t in game.tasks]
     utilities = [ZERO] + [t.utility for t in game.tasks]
-    limit = int(game.total_weight() * M)
     best_single = (utilities[bisect_right(thresholds, w)] for w in range(1, limit + 1))
     return _first_shortfall(game, p, table, best_single)

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ocfgames import convexity, core, deviations, fuzzy, welfare
-from ocfgames.lp import LinearProgram, solve
+from ocfgames import convexity, core, deviations, fuzzy, lp, welfare
 from ocfgames.model import (
     CoalitionStructure,
     Outcome,
@@ -275,16 +274,14 @@ def _partitions(n: int):
 
 def _partition_stabilizable(game: TTG, blocks) -> bool:
     """Is there a stable imputation for this partition of the crisp game?"""
-    n = game.n
-    names = tuple(f"p_{j}" for j in range(n))
-    constraints = []
+    builder = lp.ProgramBuilder()
+    for j in range(game.n):
+        builder.var(j)
     for S in blocks:
-        coeffs = tuple(Q(1) if j in S else ZERO for j in range(n))
-        constraints.append((coeffs, "==", to_nonoverlapping(game, S)))
-    for S in core._subsets(n):
-        coeffs = tuple(Q(1) if j in S else ZERO for j in range(n))
-        constraints.append((coeffs, ">=", to_nonoverlapping(game, S)))
-    return solve(LinearProgram(names, tuple(constraints))).status != "infeasible"
+        builder.add(S, "==", to_nonoverlapping(game, S))
+    for S in core._subsets(game.n):
+        builder.add(S, ">=", to_nonoverlapping(game, S))
+    return builder.solve()[0].status != "infeasible"
 
 
 def _run_partition_vs_overlap() -> list[Check]:

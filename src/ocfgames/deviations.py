@@ -24,11 +24,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import FrozenSet, Iterable, Optional, Sequence
 
 from ocfgames import lp, welfare
-from ocfgames.core import CoreVerdict, _subsets
+from ocfgames.core import SUBSET_GUARD, CoreVerdict, _subsets
 from ocfgames.model import (
     CoalitionStructure,
     Game,
@@ -42,6 +42,7 @@ from ocfgames.model import (
 from ocfgames.rationals import Q, common_denominator
 
 ZERO = Q(0)
+ONE = Q(1)
 RULE_VECTOR_LIMIT = 200_000  # product-space guard for rule-based enumerations
 
 
@@ -138,12 +139,19 @@ class _Search:
 
     # -- new deviator-only coalitions ------------------------------------
 
+    def scaled_row(
+        self, vec: Sequence[int], base: Optional[Sequence[Fraction]] = None
+    ) -> list[Fraction]:
+        """The full-width row of ``vec`` (over sorted(J), in units of 1/M):
+        ``base``, zero by default, with the deviators' entries replaced."""
+        if base is None:
+            base = (ZERO,) * self.game.n
+        M = self.M
+        return _embed([Q(u, M) for u in vec], self.Js, base)
+
     def value_of_scaled(self, vec: Sequence[int]) -> Fraction:
         """Game value of a deviator-only coalition given over sorted(J)."""
-        row = [ZERO] * self.game.n
-        for j, u in zip(self.Js, vec):
-            row[j] = Q(u, self.M)
-        return self.game.value(row)
+        return self.game.value(self.scaled_row(vec))
 
     def useful_vectors(self, caps: tuple[int, ...]) -> list[tuple[tuple[int, ...], Fraction]]:
         """Positive-value deviator coalition vectors worth considering.
@@ -224,22 +232,8 @@ class _Search:
              for req in rule.requirements),
             default=0,
         )
-        ranges = []
-        size = 1
-        for k in range(len(self.Js)):
-            top = min(caps[k], bound)
-            opts = list(range(0, top + 1, self.g))
-            size *= len(opts)
-            if size > RULE_VECTOR_LIMIT:
-                raise GameError(
-                    "rule enumeration too large at this grid; coarsen the grid"
-                )
-            ranges.append(opts)
-        for vec in itertools.product(*ranges):
-            row = [ZERO] * self.game.n
-            for j, u in zip(self.Js, vec):
-                row[j] = Q(u, self.M)
-            if rule.satisfied_by(row):
+        for vec in _grid_vectors([min(c, bound) for c in caps], self.g):
+            if rule.satisfied_by(self.scaled_row(vec)):
                 yield vec
 
     def new_structures(
@@ -322,12 +316,23 @@ class _Search:
         return new_vecs, division
 
 
-def _embed(units: Sequence[Fraction], Js: Sequence[int], n: int) -> tuple[Fraction, ...]:
-    """A full-width row: ``units`` at the positions ``Js``, zero elsewhere."""
-    row = [ZERO] * n
+def _embed(
+    units: Iterable[Fraction], Js: Sequence[int], base: Sequence[Fraction]
+) -> list[Fraction]:
+    """A copy of the full-width row ``base`` with ``units`` at the positions ``Js``."""
+    row = list(base)
     for j, u in zip(Js, units):
         row[j] = u
-    return tuple(row)
+    return row
+
+
+def _grid_vectors(tops: Sequence[int], g: int) -> Iterable[tuple[int, ...]]:
+    """Every vector of multiples of ``g`` with entry k at most ``tops[k]``;
+    raises :class:`GameError` when there are more than RULE_VECTOR_LIMIT."""
+    ranges = [range(0, top + 1, g) for top in tops]
+    if prod(len(r) for r in ranges) > RULE_VECTOR_LIMIT:
+        raise GameError("rule enumeration too large at this grid; coarsen the grid")
+    return itertools.product(*ranges)
 
 
 def _compositions(total: int, caps: Sequence[int], g: int):
@@ -356,37 +361,18 @@ def _divide_strictly(pools, base, pJ, Js):
     """
     if not pools:
         return None
-    names = []
-    var = {}
-    for c, (_, sup) in enumerate(pools):
-        for j in sup:
-            var[(c, j)] = len(names)
-            names.append(f"y_{c}_{j}")
-    eps = len(names)
-    names.append("eps")
-    constraints = []
+    builder = lp.ProgramBuilder()
     for c, (amount, sup) in enumerate(pools):
-        coeffs = [ZERO] * len(names)
-        for j in sup:
-            coeffs[var[(c, j)]] = Q(1)
-        constraints.append((tuple(coeffs), "==", amount))
+        builder.add([(c, j) for j in sup], "==", amount)
+    builder.var("eps")  # the common margin, after every share
     for j in Js:
-        coeffs = [ZERO] * len(names)
-        for c, (_, sup) in enumerate(pools):
-            if j in sup:
-                coeffs[var[(c, j)]] = Q(1)
-        coeffs[eps] = Q(-1)
-        constraints.append((tuple(coeffs), ">=", pJ[j] - base.get(j, ZERO)))
-    objective = [ZERO] * len(names)
-    objective[eps] = Q(1)
-    program = lp.LinearProgram(tuple(names), tuple(constraints), (tuple(objective), "max"))
-    result = lp.solve(program)
-    if result.status != "optimal" or result.assignment[eps] <= 0:
+        terms = {(c, j): ONE for c, (_, sup) in enumerate(pools) if j in sup}
+        terms["eps"] = -ONE
+        builder.add(terms, ">=", pJ[j] - base.get(j, ZERO))
+    result, x = builder.solve(maximize=["eps"])
+    if result.status != "optimal" or x["eps"] <= 0:
         return None
-    return [
-        {j: result.assignment[var[(c, j)]] for j in sup}
-        for c, (_, sup) in enumerate(pools)
-    ]
+    return [{j: x[c, j] for j in sup} for c, (_, sup) in enumerate(pools)]
 
 
 def _try_best_first(ctx: _Search, candidates: list[_Candidate], resolution):
@@ -411,21 +397,10 @@ def _package(ctx: _Search, cand: _Candidate, hit, resolution) -> DeviationResult
     payoff_rows = tuple(
         tuple(shares.get(j, ZERO) for j in range(n)) for shares in division
     )
-
-    def unit(u: int) -> Fraction:
-        return Q(u, ctx.M) if u else ZERO
-
     # non-deviators keep the outcome's own contribution entries
     original = ctx.outcome.structure.coalitions
     modified_full = tuple(
-        (
-            i,
-            tuple(
-                unit(vec[ctx.Js.index(j)]) if j in ctx.J else original[i].units[j]
-                for j in range(n)
-            ),
-        )
-        for i, vec in cand.modified
+        (i, tuple(ctx.scaled_row(vec, original[i].units))) for i, vec in cand.modified
     )
     plan = DeviationPlan(
         deviators=ctx.J,
@@ -433,10 +408,7 @@ def _package(ctx: _Search, cand: _Candidate, hit, resolution) -> DeviationResult
         abandoned=tuple(sorted(cand.abandoned)),
         modified=modified_full,
         new_structure=CoalitionStructure(
-            tuple(
-                PartialCoalition(_embed([unit(u) for u in vec], ctx.Js, n))
-                for vec in new_vecs
-            )
+            tuple(PartialCoalition(ctx.scaled_row(vec)) for vec in new_vecs)
         ),
     )
     gains = {}
@@ -481,7 +453,7 @@ def find_c_deviation(
             return DeviationResult(found=False, resolution=resolution)
         sub = TTG(tuple(game.weights[j] for j in ctx.Js), game.tasks)
         coalitions = tuple(
-            PartialCoalition(_embed(c.units, ctx.Js, game.n))
+            PartialCoalition(_embed(c.units, ctx.Js, (ZERO,) * game.n))
             for c in welfare.canonical_structure(sub).coalitions
         )
         surplus = (best - total_p) / len(ctx.Js)
@@ -624,10 +596,7 @@ def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], Fraction]]:
     def take_of(vec: Sequence[int]) -> Fraction:
         if not any(vec):
             return ZERO
-        row = list(nondev_row)
-        for j, u in zip(ctx.Js, vec):
-            row[j] = Q(u, ctx.M)
-        return max(game.value(row) - nondev_x, ZERO)
+        return max(game.value(ctx.scaled_row(vec, nondev_row)) - nondev_x, ZERO)
 
     mods: dict[tuple[int, ...], Fraction] = {}
     zero = (0,) * len(ctx.Js)
@@ -639,33 +608,20 @@ def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], Fraction]]:
             mods[unchanged] = t
     if isinstance(game, TTG):
         pooled = sum(ctx.units[i][j] for j in range(game.n) if j not in ctx.J)
+        needs = []
         for task in game.tasks:
-            T = int(task.threshold * ctx.M)
-            need = max(0, T - pooled)
-            need = -(-need // ctx.g) * ctx.g
-            if need == 0:
-                need = ctx.g  # token membership to be allowed a share
-            for comp in _compositions(need, caps, ctx.g):
-                t = take_of(comp)
-                if t > 0:
-                    mods[comp] = max(mods.get(comp, ZERO), t)
+            need = max(0, int(task.threshold * ctx.M) - pooled)
+            # at least a token unit, to be allowed a share
+            needs.append(-(-need // ctx.g) * ctx.g or ctx.g)
+        vecs = itertools.chain.from_iterable(
+            _compositions(need, caps, ctx.g) for need in needs
+        )
     else:
-        size = 1
-        opts_per = []
-        for k in range(len(ctx.Js)):
-            opts = list(range(0, caps[k] + 1, ctx.g))
-            size *= len(opts)
-            if size > RULE_VECTOR_LIMIT:
-                raise GameError(
-                    "rule enumeration too large at this grid; coarsen the grid"
-                )
-            opts_per.append(opts)
-        for vec in itertools.product(*opts_per):
-            if vec == zero:
-                continue
-            t = take_of(vec)
-            if t > 0:
-                mods[vec] = max(mods.get(vec, ZERO), t)
+        vecs = _grid_vectors(caps, ctx.g)
+    for vec in vecs:
+        t = take_of(vec)
+        if t > 0:
+            mods[vec] = max(mods.get(vec, ZERO), t)
     return sorted(mods.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
 
@@ -687,6 +643,8 @@ def core_membership(
     """
     if kind not in FINDERS:
         raise GameError(f"unknown core kind {kind!r}")
+    if game.n > SUBSET_GUARD:
+        raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
     find = FINDERS[kind]
     p = payoff_vector(outcome)
     for S in _subsets(game.n):

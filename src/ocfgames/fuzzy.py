@@ -101,9 +101,8 @@ def aubin_core_check(game: TTG, p: Sequence[Fraction]) -> FuzzyCheckReport:
     """
     _efficiency_check(game, p)
     profile = welfare.knapsack_profile(game)
-    M = welfare.scale_factor(game)
+    M, total = welfare.scaled_total_weight(game)
     caps = [int(w * M) for w in game.weights]
-    total = sum(caps)
     costs = [pi / cap for pi, cap in zip(p, caps)]
     best_gap = ZERO
     best = None

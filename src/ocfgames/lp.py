@@ -10,7 +10,7 @@ value and the certificate are read back out as Fractions.  Results are
 exact; infeasible programs come back with a certificate (one multiplier per
 constraint) that provably rules out any feasible point, and every answer is
 re-checked against the original constraints, in Fractions, before it is
-returned.
+returned.  :class:`ProgramBuilder` assembles programs over keyed variables.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
 from ocfgames.rationals import Q
 
@@ -62,6 +62,63 @@ class LPResult:
     assignment: Optional[tuple[Fraction, ...]] = None
     objective_value: Optional[Fraction] = None
     certificate: Optional[tuple[Fraction, ...]] = None
+
+
+Terms = Union[dict[Hashable, Fraction], Iterable[Hashable]]
+
+
+class ProgramBuilder:
+    """Assembles a :class:`LinearProgram` over keyed variables.
+
+    A key is any hashable value; it takes the next column the first time it
+    is seen, by :meth:`var` or in a row.  Rows are ``{key: coeff}`` dicts, or
+    iterables of keys with coefficient 1, and keep the order they are added
+    in.
+    """
+
+    def __init__(self):
+        self.columns: dict[Hashable, int] = {}
+        self.rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
+
+    def var(self, key: Hashable) -> int:
+        """The column of ``key``, declared now if it is new."""
+        return self.columns.setdefault(key, len(self.columns))
+
+    def _sparse(self, terms: Terms) -> dict[int, Fraction]:
+        cols = self.columns
+        if isinstance(terms, dict):
+            return {cols.setdefault(k, len(cols)): a for k, a in terms.items()}
+        return {cols.setdefault(k, len(cols)): ONE for k in terms}
+
+    def add(self, terms: Terms, rel: str, rhs: Fraction) -> None:
+        self.rows.append((self._sparse(terms), rel, rhs))
+
+    def program(self, maximize: Optional[Terms] = None, free: bool = False) -> LinearProgram:
+        """The program so far, maximizing ``maximize`` (terms as for a row)
+        when given; ``free`` frees every variable."""
+        objective = None if maximize is None else self._sparse(maximize)
+        n = len(self.columns)
+
+        def dense(terms):
+            coeffs = [ZERO] * n
+            for j, a in terms.items():
+                coeffs[j] = a
+            return tuple(coeffs)
+
+        return LinearProgram(
+            tuple(map(str, self.columns)),
+            tuple((dense(terms), rel, rhs) for terms, rel, rhs in self.rows),
+            None if objective is None else (dense(objective), "max"),
+            frozenset(range(n)) if free else frozenset(),
+        )
+
+    def solve(self, maximize: Optional[Terms] = None,
+              free: bool = False) -> tuple[LPResult, dict[Hashable, Fraction]]:
+        """The result of :func:`solve` and each key's value (empty when the
+        result has no assignment)."""
+        result = solve(self.program(maximize, free))
+        values = dict(zip(self.columns, result.assignment or ()))
+        return result, values
 
 
 # Tableau row i is the list of ints rows[i] over the denominator dens[i] > 0:

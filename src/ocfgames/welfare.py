@@ -13,9 +13,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import floor, lcm
 from typing import FrozenSet, Iterable, Optional, Sequence
 
+from ocfgames import lp
 from ocfgames.model import (
     CoalitionStructure,
     Game,
@@ -26,7 +27,7 @@ from ocfgames.model import (
     TTG,
     to_nonoverlapping,
 )
-from ocfgames.rationals import Q, common_denominator
+from ocfgames.rationals import Q
 
 ZERO = Q(0)
 # Cache budgets (entries, least recently used evicted first): profiles are
@@ -34,13 +35,30 @@ ZERO = Q(0)
 # one per (game, agent set, cap) and small.
 PROFILE_CACHE_SIZE = 256
 VSTAR_CACHE_SIZE = 1024
+# Budget on (n + 1) * (W + 1), the cells of the largest table a
+# pseudo-polynomial check over W scaled weight units builds.  A weight such
+# as 1/1000003 scales W into the millions; the budget is over ten times the
+# largest table of the tests and benchmark workloads (about 300 000 cells).
+DP_CELL_BUDGET = 5_000_000
 
 
-def scale_factor(game: TTG) -> int:
-    """Smallest integer making all weights and thresholds integral."""
-    return common_denominator(
-        list(game.weights) + [t.threshold for t in game.tasks]
-    )
+def scaled_total_weight(game: TTG) -> tuple[int, int]:
+    """The scale factor ``M``, the smallest integer making all weights and
+    thresholds integral, and the total weight ``W`` in units of ``1/M``.
+
+    Raises :class:`GameError` when an ``(n + 1) x (W + 1)`` table would pass
+    ``DP_CELL_BUDGET``, before any table is built.
+    """
+    M = lcm(*(w.denominator for w in game.weights),
+            *(t.threshold.denominator for t in game.tasks))
+    W = sum(w.numerator * (M // w.denominator) for w in game.weights)
+    cells = (game.n + 1) * (W + 1)
+    if cells > DP_CELL_BUDGET:
+        raise GameError(
+            f"total weight {W}/{M} needs {cells} table cells, "
+            f"over the budget of {DP_CELL_BUDGET}"
+        )
+    return M, W
 
 
 @dataclass(frozen=True)
@@ -102,8 +120,7 @@ class KnapsackProfile:
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def knapsack_profile(game: TTG) -> KnapsackProfile:
     """Unbounded-knapsack utility profile up to the game's total weight."""
-    M = scale_factor(game)
-    W = int(game.total_weight() * M)
+    M, W = scaled_total_weight(game)
     items = [(int(t.threshold * M), t.utility) for t in game.tasks]
     U = [ZERO] * (W + 1)
     for w in range(1, W + 1):
@@ -356,26 +373,14 @@ def _max_flow(n: int, cap: dict[tuple[int, int], Fraction], s: int, t: int) -> F
 def _feasible_by_lp(
     game: RuleBasedGame, S: FrozenSet[int], instances: Sequence[Rule]
 ) -> bool:
-    from ocfgames import lp
-
     agents = sorted(S)
-    var = {}
-    names = []
+    builder = lp.ProgramBuilder()
     for ci in range(len(instances)):
         for j in agents:
-            var[(ci, j)] = len(names)
-            names.append(f"y_{ci}_{j}")
-    constraints = []
+            builder.var((ci, j))
     for ci, rule in enumerate(instances):
         for req in rule.requirements:
-            coeffs = [ZERO] * len(names)
-            for j in req.agents & S:
-                coeffs[var[(ci, j)]] = Q(1)
-            constraints.append((tuple(coeffs), ">=", req.minimum))
+            builder.add([(ci, j) for j in req.agents & S], ">=", req.minimum)
     for j in agents:
-        coeffs = [ZERO] * len(names)
-        for ci in range(len(instances)):
-            coeffs[var[(ci, j)]] = Q(1)
-        constraints.append((tuple(coeffs), "<=", game.weights[j]))
-    program = lp.LinearProgram(tuple(names), tuple(constraints))
-    return lp.solve(program).status != "infeasible"
+        builder.add([(ci, j) for ci in range(len(instances))], "<=", game.weights[j])
+    return builder.solve()[0].status != "infeasible"

@@ -206,3 +206,30 @@ def test_gen_reduction_rejects_a_malformed_problem(tmp_path, capsys, reduction, 
     assert cli.main(args) == 2
     assert message in _one_line_error(capsys)
     assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["r", "o"])
+def test_check_core_refuses_more_agents_than_the_subset_guard(tmp_path, capsys, kind):
+    n = 17  # 2^17 deviator sets
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"agents": n, "weights": [1] * n,
+                                "tasks": [{"threshold": n, "utility": n}]}))
+    outcome = tmp_path / "o.json"
+    outcome.write_text(json.dumps({"structure": [[1] * n], "payoffs": [[1] * n]}))
+    assert cli.main(["check-core", "--game", str(game), "--kind", kind,
+                     "--outcome", str(outcome)]) == 2
+    assert "at most 16 agents" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("args", [
+    ["welfare", "--mode", "overlapping"],
+    ["check-core", "--kind", "nonoverlapping", "--partition", "1,2",
+     "--payoffs", "0,1"],
+], ids=["knapsack-profile", "min-payoff-table"])
+def test_fine_weight_past_the_dp_budget_exits_two(tmp_path, capsys, args):
+    # W = 3 000 010 units of 1/1000003: about 9 million table cells
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"agents": 2, "weights": ["1/1000003", 3],
+                                "tasks": [{"threshold": 1, "utility": 1}]}))
+    assert cli.main(args + ["--game", str(game)]) == 2
+    assert "table cells" in _one_line_error(capsys)

@@ -1,0 +1,27 @@
+"""Every linear program of the library is assembled by ``lp.ProgramBuilder``:
+no module but ``lp.py`` constructs a ``LinearProgram`` itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import ocfgames
+
+PACKAGE = Path(ocfgames.__file__).parent
+
+
+def _called_name(node: ast.Call) -> str:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def test_only_lp_constructs_linear_programs():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "lp.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _called_name(node) == "LinearProgram"
+    ]
+    assert found == []
