@@ -2,10 +2,9 @@
 
 An outcome is stable against group deviations exactly when every agent set
 collectively receives at least what it could create on its own.  This module
-offers that check in four flavours: direct subset enumeration, a
-dynamic-programming shortcut for threshold task games, a constructive
-stabilization procedure built on constraint generation, and per-structure
-stabilization with a dual certificate when no stabilizing imputation exists.
+checks that subset condition (:func:`check_payoffs`), and stabilizes a given
+structure or the canonical welfare-optimal one with one constraint-generation
+engine, which certifies emptiness with a balanced collection.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from ocfgames.model import (
 from ocfgames.rationals import Q, common_denominator
 
 ZERO = Q(0)
-SUBSET_GUARD = 16
+SUBSET_GUARD = welfare.SUBSET_GUARD
 # Agent sets of games up to this size are built once and shared between
 # enumerations (2 047 frozensets in all); larger games enumerate afresh.
 SHARED_SUBSETS_MAX_N = 10
@@ -63,11 +62,13 @@ class BalancedCollection:
         if len(self.mus) != len(cs):
             problems.append("mu length does not match the structure")
             return problems
+        covered = [ZERO] * game.n  # each agent's total lambda weight
+        for S, l in self.lambdas.items():
+            for j in S:
+                covered[j] += l
         for i, c in enumerate(cs.coalitions):
             for j in sorted(c.support):
-                total = self.mus[i] + sum(
-                    (l for S, l in self.lambdas.items() if j in S), ZERO
-                )
+                total = self.mus[i] + covered[j]
                 if total != 1:
                     problems.append(
                         f"balance equality fails at coalition {i}, agent {j}: {total}"
@@ -117,30 +118,26 @@ def _shared_subsets(n: int) -> tuple[FrozenSet[int], ...]:
 
 
 def check_group_rationality(
-    game: Game,
-    outcome: Outcome,
-    cap: Optional[int] = None,
-    grid: int = 1,
+    game: Game, outcome: Outcome, cap: Optional[int] = None, grid: int = 1
+) -> CoreVerdict:
+    """:func:`check_payoffs` on the outcome's per-agent totals."""
+    return check_payoffs(game, payoff_vector(outcome), cap, grid)
+
+
+def check_payoffs(
+    game: Game, p: Sequence[Fraction], cap: Optional[int] = None, grid: int = 1
 ) -> CoreVerdict:
     """Stable iff every agent set is paid at least its standalone optimum.
 
-    Enumerates all nonempty agent sets; the witness is the first violator in
-    lexicographic order.  For rule-based games the standalone optimum is
-    searched at the given resolution (structure cap and contribution grid);
-    the threshold-task path is exact and ignores them.
+    Threshold task games take the exact DP, which ignores ``cap`` and
+    ``grid``.  Other games enumerate all nonempty agent sets, searching each
+    standalone optimum at the given resolution; the witness is the first
+    violator in lexicographic order.
     """
-    n = game.n
-    if n > SUBSET_GUARD and not isinstance(game, TTG):
-        raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
     if isinstance(game, TTG):
-        return ttg_membership(game, outcome)
-    p = payoff_vector(outcome)
-    return _check_subsets(game, p, cap, grid)
-
-
-def _check_subsets(
-    game: Game, p: Sequence[Fraction], cap: Optional[int] = None, grid: int = 1
-) -> CoreVerdict:
+        return ttg_payoff_membership(game, p)
+    if game.n > SUBSET_GUARD:
+        raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
     for S in _subsets(game.n):
         need = welfare.vstar(game, S, cap=cap, grid=grid)
         have = sum((p[j] for j in S), ZERO)
@@ -239,18 +236,17 @@ def _first_shortfall(
 
 
 def ttg_membership(game: TTG, outcome: Outcome) -> CoreVerdict:
+    """:func:`ttg_payoff_membership` on the outcome's per-agent totals."""
+    return ttg_payoff_membership(game, payoff_vector(outcome))
+
+
+def ttg_payoff_membership(game: TTG, p: Sequence[Fraction]) -> CoreVerdict:
     """DP shortcut for the subset condition on threshold task games.
 
     Compares, for every pooled scaled weight ``w``, the cheapest subset
     reaching ``w`` against the best utility ``w`` can earn; the first failing
     weight (ascending) yields a concrete blocking set.
     """
-    p = payoff_vector(outcome)
-    return ttg_payoff_membership(game, p)
-
-
-def ttg_payoff_membership(game: TTG, p: Sequence[Fraction]) -> CoreVerdict:
-    """Same subset condition, stated on a bare payoff vector."""
     if len(p) != game.n:
         raise GameError(f"payoff vector of length {len(p)} for {game.n} agents")
     profile = welfare.knapsack_profile(game)
@@ -265,37 +261,20 @@ def ttg_payoff_membership(game: TTG, p: Sequence[Fraction]) -> CoreVerdict:
 def stabilize(game: TTG) -> CoreVerdict:
     """Find a stable outcome on the canonical welfare-optimal structure.
 
-    Runs constraint generation over payoff vectors (nonnegative, summing to
-    the optimal welfare) with the DP membership check as separation oracle,
-    then spreads each agent's payoff over the coalitions proportionally to
-    coalition value.  Reports instability when the payoff polytope is empty,
-    which by group rationality of the condition means no stable outcome
-    exists at all.
+    Every stable outcome maximizes welfare, so when the canonical structure
+    has no stable totals (:func:`_stable_totals`), no stable outcome exists
+    and the verdict carries the certificate.  Otherwise each agent's total
+    is spread over the coalitions proportionally to coalition value.
     """
     total, _, cs = welfare.max_welfare_overlapping(game)
     if total == 0:
         empty = Outcome(CoalitionStructure(()), ())
         return CoreVerdict(stable=True, outcome=empty)
-    n = game.n
-    builder = lp.ProgramBuilder()
-    builder.add(range(n), "==", total)
-
-    def oracle(assignment):
-        verdict = ttg_payoff_membership(game, assignment)
-        if verdict.stable:
-            return None
-        S = verdict.witness
-        coeffs = tuple(Q(1) if j in S else ZERO for j in range(n))
-        return (coeffs, ">=", welfare.vstar(game, S))
-
-    result, _ = lp.solve_with_separation(builder.program(), oracle)
-    if result.status == "infeasible":
-        return CoreVerdict(stable=False, certificate=None)
-    p = result.assignment
+    p, cert = _stable_totals(game, cs)
+    if p is None:
+        return CoreVerdict(stable=False, certificate=cert)
     values = [game.value(c.units) for c in cs.coalitions]
-    payoffs = tuple(
-        tuple(p[j] * v / total for j in range(n)) for v in values
-    )
+    payoffs = tuple(tuple(x * v / total for x in p) for v in values)
     outcome = Outcome(cs, payoffs)
     problems = validate_outcome(game, outcome)
     if problems:  # pragma: no cover - guarded by construction
@@ -306,64 +285,115 @@ def stabilize(game: TTG) -> CoreVerdict:
 def stabilize_structure(game: Game, cs: CoalitionStructure) -> CoreVerdict:
     """Decide whether this particular structure admits a stable division.
 
-    Solves the feasibility program over per-coalition payoff entries (free,
-    supported agents only): rows sum to coalition values and every agent set
-    is paid its standalone optimum.  On infeasibility the dual multipliers
-    are reshaped into a :class:`BalancedCollection` certificate.
+    Stable totals from :func:`_stable_totals` are split into per-coalition
+    entries (free, supported agents only) by one small program: each
+    coalition's entries sum to its value, each agent's to its total.  The
+    agent guard holds for TTGs too: the separation rounds grow with n.
     """
     n = game.n
     if n > SUBSET_GUARD:
         raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
-    entries = [(i, j) for i, c in enumerate(cs.coalitions) for j in sorted(c.support)]
+    p, cert = _stable_totals(game, cs)
+    if p is None:
+        return CoreVerdict(stable=False, certificate=cert)
     builder = lp.ProgramBuilder()
-    for key in entries:
-        builder.var(key)
-    subset_rows = list(_subsets(n))
-    for S in subset_rows:
-        builder.add([(i, j) for i, j in entries if j in S], ">=", welfare.vstar(game, S))
     for i, c in enumerate(cs.coalitions):
         builder.add([(i, j) for j in sorted(c.support)], "==", game.value(c.units))
+    for j in range(n):
+        builder.add([(i, j) for i, c in enumerate(cs.coalitions) if j in c.support],
+                    "==", p[j])
     result, x = builder.solve(free=True)
-    if result.status != "infeasible":
-        payoffs = tuple(
-            tuple(x.get((i, j), ZERO) for j in range(n)) for i in range(len(cs))
-        )
-        outcome = Outcome(cs, payoffs, allow_negative=True)
-        return CoreVerdict(stable=True, outcome=outcome)
+    if result.status == "infeasible":  # pragma: no cover - totals match per component
+        raise AssertionError("stable totals do not split over the structure")
+    payoffs = tuple(tuple(x.get((i, j), ZERO) for j in range(n)) for i in range(len(cs)))
+    return CoreVerdict(stable=True, outcome=Outcome(cs, payoffs, allow_negative=True))
 
-    cert = _balanced_collection(game, cs, subset_rows, result.certificate)
-    return CoreVerdict(stable=False, certificate=cert)
+
+def _components(n: int, cs: CoalitionStructure) -> list[tuple[list[int], list[int]]]:
+    """Connected components of the coalition supports, as (agents, coalition
+    indices) pairs in order of least agent.  An agent in no coalition is a
+    component, and so is each coalition without an agent (these come last)."""
+    least = list(range(n))
+    for c in cs.coalitions:
+        merged = {least[j] for j in c.support}
+        least = [min(merged) if x in merged else x for x in least]
+    comps = {x: ([], []) for x in sorted(set(least))}
+    for j, x in enumerate(least):
+        comps[x][0].append(j)
+    for i, c in enumerate(cs.coalitions):
+        key = least[min(c.support)] if c.support else (i,)
+        comps.setdefault(key, ([], []))[1].append(i)
+    return list(comps.values())
+
+
+def _stable_totals(
+    game: Game, cs: CoalitionStructure
+) -> tuple[Optional[tuple[Fraction, ...]], Optional[BalancedCollection]]:
+    """Per-agent totals of a stable division of ``cs`` and ``None``, or
+    ``None`` and a :class:`BalancedCollection` proving that none exists.
+
+    With free entries, a division exists iff nonnegative totals meet the
+    subset condition and sum, on each component of :func:`_components`, to
+    its coalitions' values.  Constraint generation looks for them with
+    :func:`check_payoffs` as separation oracle, cutting ``p(S) >= vstar(S)``
+    for each witness ``S``.
+    """
+    n = game.n
+    comps = _components(n, cs)
+    builder = lp.ProgramBuilder()
+    for j in range(n):
+        builder.var(j)
+    values = [game.value(c.units) for c in cs.coalitions]
+    for agents, members in comps:
+        builder.add(agents, "==", sum((values[i] for i in members), ZERO))
+
+    def cut(p):
+        S = check_payoffs(game, p).witness
+        if S is None:
+            return None
+        coeffs = tuple(Q(1) if j in S else ZERO for j in range(n))
+        return coeffs, ">=", welfare.vstar(game, S)
+
+    result, program = lp.solve_with_separation(builder.program(), cut)
+    if result.status != "infeasible":
+        return result.assignment, None
+    return None, _balanced_collection(game, cs, comps, program, result.certificate)
 
 
 def _balanced_collection(
-    game: Game,
-    cs: CoalitionStructure,
-    subset_rows: Sequence[FrozenSet[int]],
-    farkas: Sequence[Fraction],
+    game: Game, cs: CoalitionStructure, comps: list[tuple[list[int], list[int]]],
+    program: lp.LinearProgram, farkas: Sequence[Fraction],
 ) -> BalancedCollection:
-    """Reshape LP infeasibility multipliers into a balanced collection.
+    """Reshape the engine's infeasibility multipliers into a balanced collection.
 
-    The multipliers form a ray along which the balance equalities are
-    unchanged; it is added to the trivial collection (all mu = 1) with a
-    factor large enough that the combined value strictly exceeds the grand
-    coalition's optimum.
+    ``program`` has one row per component in ``comps``, then the cuts.  A
+    cut's multiplier weighs its agent set; a coalition takes its component's.
+    Each agent's slack (minus its combined coefficient, >= 0) weighs its
+    singleton: the row ``p_j >= vstar({j}) >= 0`` is implied, so the balance
+    equalities hold along this ray and its value only grows.  The ray is
+    added to the trivial collection (all mu = 1), scaled so that the
+    combined value strictly exceeds the grand coalition's optimum.
     """
-    m = len(subset_rows)
-    lam_ray = {S: farkas[k] for k, S in enumerate(subset_rows)}
-    mu_ray = list(farkas[m:])
-    gap = sum(
-        (lam_ray[S] * welfare.vstar(game, S) for S in subset_rows), ZERO
-    ) + sum(
-        (u * game.value(c.units) for u, c in zip(mu_ray, cs.coalitions)), ZERO
-    )
+    rows = [(frozenset(j for j, a in enumerate(coeffs) if a), y)
+            for (coeffs, _, _), y in zip(program.constraints, farkas)]
+    gap = sum((y * rhs for (_, _, rhs), y in zip(program.constraints, farkas)), ZERO)
+    lam_ray = dict(rows[len(comps):])
+    for j in range(game.n):
+        slack = -sum((y for S, y in rows if j in S), ZERO)
+        if slack:
+            single = frozenset([j])
+            lam_ray[single] = lam_ray.get(single, ZERO) + slack
+            gap += slack * welfare.vstar(game, single)
     if gap <= 0:
         raise AssertionError(f"Farkas ray does not separate: gap {gap}")
+    mu_ray = [ZERO] * len(cs)
+    for (_, members), y in zip(comps, farkas):
+        for i in members:
+            mu_ray[i] = y
     base_value = sum((game.value(c.units) for c in cs.coalitions), ZERO)
-    top = welfare.vstar(game, range(game.n))
-    t = max(Q(1), (top - base_value + 1) / gap)
-    lambdas = {S: t * lam_ray[S] for S in subset_rows if lam_ray[S] != 0}
-    mus = tuple(Q(1) + t * u for u in mu_ray)
-    cert = BalancedCollection(lambdas, mus)
+    t = max(Q(1), (welfare.vstar(game, range(game.n)) - base_value + 1) / gap)
+    lambdas = {S: t * l for S, l in lam_ray.items() if l != 0}
+    cert = BalancedCollection(lambdas, tuple(Q(1) + t * u for u in mu_ray))
     problems = cert.check(game, cs)
     if problems:  # pragma: no cover - guarded by LP duality
         raise AssertionError("bad certificate: " + "; ".join(problems))

@@ -40,6 +40,8 @@ VSTAR_CACHE_SIZE = 1024
 # as 1/1000003 scales W into the millions; the budget is over ten times the
 # largest table of the tests and benchmark workloads (about 300 000 cells).
 DP_CELL_BUDGET = 5_000_000
+# Most agents a computation that enumerates agent sets (2^n of them) accepts.
+SUBSET_GUARD = 16
 
 
 def scaled_total_weight(game: TTG) -> tuple[int, int]:
@@ -178,8 +180,8 @@ def max_welfare_nonoverlapping(
 ) -> tuple[Fraction, tuple[FrozenSet[int], ...]]:
     """Best total value over partitions of the agents, with a witness partition."""
     n = game.n
-    if n > 16:
-        raise GameError(f"partition search supports at most 16 agents, got {n}")
+    if n > SUBSET_GUARD:
+        raise GameError(f"partition search supports at most {SUBSET_GUARD} agents, got {n}")
     full = (1 << n) - 1
     best: list[Fraction] = [ZERO] * (full + 1)
     split: list[int] = [0] * (full + 1)

@@ -221,6 +221,27 @@ def test_check_core_refuses_more_agents_than_the_subset_guard(tmp_path, capsys, 
     assert "at most 16 agents" in _one_line_error(capsys)
 
 
+def test_welfare_partition_search_refuses_more_agents_than_the_subset_guard(
+        tmp_path, capsys):
+    n = 17  # 2^17 blocks
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"agents": n, "weights": [1] * n,
+                                "tasks": [{"threshold": n, "utility": n}]}))
+    assert cli.main(["welfare", "--game", str(game),
+                     "--mode", "nonoverlapping"]) == 2
+    assert "at most 16 agents" in _one_line_error(capsys)
+
+
+def test_balanced_rejects_an_over_capacity_structure(company, tmp_path, capsys):
+    game, _, _ = company  # weights (4, 6)
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps({"structure": [[40, 60], [40, 60]],
+                                     "payoffs": [[0, 0], [0, 0]]}))
+    assert cli.main(["balanced", "--game", game,
+                     "--structure", str(structure)]) == 2
+    assert "over capacity" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("args", [
     ["welfare", "--mode", "overlapping"],
     ["check-core", "--kind", "nonoverlapping", "--partition", "1,2",

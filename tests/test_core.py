@@ -5,8 +5,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import brute_payoff_membership, random_ttg
-from ocfgames import core, corpus, welfare
+from conftest import brute_payoff_membership, random_outcome, random_ttg
+from ocfgames import cli, core, corpus, welfare
 from ocfgames.model import (
     CoalitionStructure,
     GameError,
@@ -71,7 +71,10 @@ def test_stabilize_finds_a_stable_division():
 
 
 def test_stabilize_reports_emptiness():
-    assert not core.stabilize(corpus.empty_core_game()).stable
+    g = corpus.empty_core_game()
+    verdict = core.stabilize(g)
+    assert not verdict.stable
+    assert verdict.certificate.check(g, welfare.canonical_structure(g)) == []
 
 
 def test_stabilize_on_a_worthless_game_returns_the_empty_outcome():
@@ -99,6 +102,42 @@ def test_stabilize_structure_accepts_the_symmetric_optimum():
     assert verdict.stable
     p = payoff_vector(verdict.outcome)
     assert core.ttg_payoff_membership(g, p).stable
+
+
+def test_components_of_the_coalition_supports():
+    zero = Q(0)
+    cs = CoalitionStructure((
+        PartialCoalition((zero, zero, Q(1), Q(1))),
+        PartialCoalition((zero, zero, zero, zero)),  # no agent
+        PartialCoalition((Q(1), zero, zero, Q(1))),
+    ))
+    # agent 1 is in no coalition; the empty coalition comes last
+    assert core._components(4, cs) == [([0, 2, 3], [0, 2]), ([1], []), ([], [1])]
+
+
+def test_stabilize_structure_agrees_with_the_lp_on_rule_based_games():
+    from test_acceptance import _direct_lp_feasible
+
+    rng = random.Random(909)
+    games = [
+        cli.generate_random(seed=seed, agents=rng.randint(2, 4), max_weight=4,
+                            tasks=rng.randint(1, 3), rules=True)
+        for seed in range(40)
+    ] + [corpus.triple_effort_game(), corpus.four_escorts_game()]
+    seen = {True: 0, False: 0}
+    for game in games:
+        for _ in range(4):
+            cs = random_outcome(rng, game).structure
+            verdict = core.stabilize_structure(game, cs)
+            assert verdict.stable == _direct_lp_feasible(game, cs)
+            seen[verdict.stable] += 1
+            if verdict.stable:
+                assert validate_outcome(game, verdict.outcome,
+                                        individual_rationality=False) == []
+                assert core.check_payoffs(game, payoff_vector(verdict.outcome)).stable
+            else:
+                assert verdict.certificate.check(game, cs) == []
+    assert seen[True] and seen[False]
 
 
 def test_nonoverlapping_check_accepts_the_partition_witness():

@@ -1,5 +1,7 @@
 """Every linear program of the library is assembled by ``lp.ProgramBuilder``:
-no module but ``lp.py`` constructs a ``LinearProgram`` itself."""
+no module but ``lp.py`` constructs a ``LinearProgram`` itself.  Both
+stabilizations share one constraint-generation engine, so the library calls
+``lp.solve_with_separation`` from one place."""
 
 from __future__ import annotations
 
@@ -25,3 +27,13 @@ def test_only_lp_constructs_linear_programs():
         if isinstance(node, ast.Call) and _called_name(node) == "LinearProgram"
     ]
     assert found == []
+
+
+def test_solve_with_separation_has_one_caller():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _called_name(node) == "solve_with_separation"
+    ]
+    assert len(found) == 1, found
