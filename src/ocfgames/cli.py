@@ -20,7 +20,6 @@ from ocfgames.model import (
     TTG,
     payoff_vector,
     validate_outcome,
-    validate_structure,
 )
 from ocfgames.rationals import Q, as_q, q_str
 
@@ -178,9 +177,6 @@ def _cmd_stabilize(args) -> int:
 def _cmd_balanced(args) -> int:
     game = io.load_game(args.game)
     structure = io.load_outcome(args.structure, game).structure
-    problems = validate_structure(game, structure)
-    if problems:
-        raise GameError("; ".join(problems))
     verdict = core.stabilize_structure(game, structure)
     if verdict.stable:
         print("stabilizable")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ocfgames import lp, welfare
-from ocfgames.deviations import _Search
+from ocfgames import welfare
+from ocfgames.deviations import _divide_strictly as _divide, _Search
 from ocfgames.model import (
     CoalitionStructure,
     Game,
@@ -43,82 +43,17 @@ ZERO = Q(0)
 # ---------------------------------------------------------------------------
 
 
-def _built_structures(ctx: _Search) -> list[list[tuple[tuple[int, ...], Fraction]]]:
-    """Grid coalition structures over ctx's agent set, leftover-padded.
-
-    Each structure is a list of (scaled weight vector over sorted agents,
-    coalition value).  Unsupported agents with spare capacity are folded
-    into the first coalition with one grid unit so they can legally
-    receive a share; values are recomputed after padding.
-    """
-    out = []
-    for structure in ctx.new_structures(ctx.full_caps(), ctx.cap):
-        vecs = [list(vec) for vec, _ in structure]
-        if vecs:
-            used = [sum(col) for col in zip(*vecs)]
-            for pos, j in enumerate(ctx.Js):
-                if used[pos] == 0 and ctx.w[j] - used[pos] >= ctx.g:
-                    vecs[0][pos] += ctx.g
-        out.append([(tuple(v), ctx.value_of_scaled(v)) for v in vecs])
-    return out
+def _built_structures(ctx: _Search):
+    """Grid agreements over ctx's agent set: (vectors, pools) pairs from
+    :meth:`_Search.padded`, one per grid structure."""
+    caps = ctx.full_caps()
+    return [ctx.padded(structure, caps) for structure in ctx.new_structures(caps, ctx.cap)]
 
 
-def _rows_and_supports(ctx: _Search, built):
-    """Full-width unit rows plus per-coalition supporter index sets."""
-    rows = [ctx.scaled_row(vec) for vec, _ in built]
-    supports = [tuple(j for j, u in zip(ctx.Js, vec) if u > 0) for vec, _ in built]
-    return rows, supports
-
-
-def _divide(game, built, supports, floors, maximize: Optional[int]):
-    """Split coalition values among supporters meeting per-agent floors.
-
-    Returns (objective, payoffs dict, per-coalition share maps) or None if
-    the floors cannot be met.  With maximize=None this is a pure
-    feasibility check and the objective is zero.
-    """
-    agents = sorted({j for sup in supports for j in sup} | set(floors))
-    if not any(supports):
-        if any(f > 0 for f in floors.values()):
-            return None
-        return ZERO, {j: ZERO for j in agents}, []
-    builder = lp.ProgramBuilder()
-    for c, ((_, value), sup) in enumerate(zip(built, supports)):
-        builder.add([(c, j) for j in sup], "==", value)
-    for j, floor in floors.items():
-        if floor <= 0:
-            continue
-        held = [(c, j) for c, sup in enumerate(supports) if j in sup]
-        if not held:
-            return None
-        builder.add(held, ">=", floor)
-    objective = None
-    if maximize is not None:
-        objective = [(c, maximize) for c, sup in enumerate(supports) if maximize in sup]
-    result, x = builder.solve(maximize=objective)
-    if result.status == "infeasible":
-        return None
-    if result.status not in ("optimal", "feasible"):
-        raise AssertionError(f"division LP ended {result.status}")
-    shares = [{j: x[c, j] for j in sup} for c, sup in enumerate(supports)]
-    pays = {j: ZERO for j in agents}
-    for share in shares:
-        for j, amount in share.items():
-            pays[j] += amount
-    obj_value = result.objective_value if maximize is not None else ZERO
-    return obj_value, pays, shares
-
-
-def _to_outcome(game, ctx, built, shares) -> Outcome:
-    rows, supports = _rows_and_supports(ctx, built)
-    coalitions = tuple(PartialCoalition(row) for row in rows)
-    payoffs = []
-    for sup, share in zip(supports, shares):
-        row = [ZERO] * game.n
-        for j in sup:
-            row[j] = share.get(j, ZERO)
-        payoffs.append(tuple(row))
-    return Outcome(CoalitionStructure(coalitions), tuple(payoffs))
+def _to_outcome(game, ctx, vecs, shares) -> Outcome:
+    coalitions = tuple(PartialCoalition(ctx.scaled_row(vec)) for vec in vecs)
+    payoffs = tuple(tuple(share.get(j, ZERO) for j in range(game.n)) for share in shares)
+    return Outcome(CoalitionStructure(coalitions), payoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,28 +77,27 @@ def construct_core_element(
     """
     if sorted(ordering) != list(range(game.n)):
         raise GameError("ordering must be a permutation of all agents")
-    prev_pay: dict[int, Fraction] = {}
-    final = None
-    for k, agent in enumerate(ordering):
+    floors: dict[int, Fraction] = {}
+    for k, agent in enumerate(ordering):  # a game has at least one agent
         prefix = tuple(sorted(ordering[: k + 1]))
         ctx = _Search(game, None, prefix, cap, grid)
         best = None
-        for built in _built_structures(ctx):
-            _, supports = _rows_and_supports(ctx, built)
-            sol = _divide(game, built, supports, prev_pay, maximize=agent)
+        for vecs, pools in _built_structures(ctx):
+            sol = _divide(pools, floors, maximize=agent)
             if sol is None:
                 continue
-            obj, pays, shares = sol
-            if best is None or obj > best[0]:
-                best = (obj, ctx, built, pays, shares)
+            shares = sol[1]
+            pays = {j: ZERO for j in prefix}
+            for share in shares:
+                for j, amount in share.items():
+                    pays[j] += amount
+            if best is None or pays[agent] > best[0][agent]:
+                best = (pays, vecs, shares)
         if best is None:
             raise GameError("no grid agreement meets the locked payoffs")
-        prev_pay = {j: best[3].get(j, ZERO) for j in prefix}
-        final = best
-    if final is None:
-        raise AssertionError("no agent was admitted; the ordering is checked above")
-    _, ctx, built, _, shares = final
-    return _to_outcome(game, ctx, built, shares)
+        floors = {j: x for j, x in best[0].items() if x > 0}
+    _, vecs, shares = best
+    return _to_outcome(game, ctx, vecs, shares)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +149,9 @@ def _premise_vectors(game, agents, cap, grid, singles):
     ctx = _Search(game, None, agents, cap, grid)
     seen = set()
     out = []
-    for built in _built_structures(ctx):
-        _, supports = _rows_and_supports(ctx, built)
+    for _, pools in _built_structures(ctx):
         choices = []
-        for (_, value), sup in zip(built, supports):
+        for value, sup in pools:
             opts = [{j: value} for j in sup]
             if len(sup) > 1:
                 opts.append({j: value / len(sup) for j in sup})
@@ -243,16 +176,11 @@ def _witness_exists(game, agents, floors, cap, grid, memo) -> bool:
     key = (agents, tuple(sorted(floors.items())))
     if key in memo:
         return memo[key]
-    found = False
-    if all(f <= 0 for f in floors.values()):
-        found = True
-    else:
-        ctx = _Search(game, None, agents, cap, grid)
-        for built in _built_structures(ctx):
-            _, supports = _rows_and_supports(ctx, built)
-            if _divide(game, built, supports, floors, maximize=None) is not None:
-                found = True
-                break
+    positive = {j: f for j, f in floors.items() if f > 0}
+    found = not positive or any(
+        _divide(pools, positive) is not None
+        for _, pools in _built_structures(_Search(game, None, agents, cap, grid))
+    )
     memo[key] = found
     return found
 

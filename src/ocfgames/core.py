@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import FrozenSet, Iterable, Optional, Sequence
@@ -22,12 +22,11 @@ from ocfgames.model import (
     Game,
     GameError,
     Outcome,
-    PartialCoalition,
     TTG,
     payoff_vector,
-    structure_value,
     to_nonoverlapping,
     validate_outcome,
+    validate_structure,
 )
 from ocfgames.rationals import Q, common_denominator
 
@@ -285,14 +284,18 @@ def stabilize(game: TTG) -> CoreVerdict:
 def stabilize_structure(game: Game, cs: CoalitionStructure) -> CoreVerdict:
     """Decide whether this particular structure admits a stable division.
 
-    Stable totals from :func:`_stable_totals` are split into per-coalition
-    entries (free, supported agents only) by one small program: each
-    coalition's entries sum to its value, each agent's to its total.  The
-    agent guard holds for TTGs too: the separation rounds grow with n.
+    A structure over capacity raises :class:`GameError`.  Stable totals from
+    :func:`_stable_totals` are split into per-coalition entries (free,
+    supported agents only) by one small program: each coalition's entries
+    sum to its value, each agent's to its total.  The agent guard holds for
+    TTGs too: the separation rounds grow with n.
     """
     n = game.n
     if n > SUBSET_GUARD:
         raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
+    problems = validate_structure(game, cs)
+    if problems:
+        raise GameError("invalid structure: " + "; ".join(problems))
     p, cert = _stable_totals(game, cs)
     if p is None:
         return CoreVerdict(stable=False, certificate=cert)
@@ -303,27 +306,10 @@ def stabilize_structure(game: Game, cs: CoalitionStructure) -> CoreVerdict:
         builder.add([(i, j) for i, c in enumerate(cs.coalitions) if j in c.support],
                     "==", p[j])
     result, x = builder.solve(free=True)
-    if result.status == "infeasible":  # pragma: no cover - totals match per component
+    if result.status == "infeasible":  # pragma: no cover - see _stable_totals
         raise AssertionError("stable totals do not split over the structure")
     payoffs = tuple(tuple(x.get((i, j), ZERO) for j in range(n)) for i in range(len(cs)))
     return CoreVerdict(stable=True, outcome=Outcome(cs, payoffs, allow_negative=True))
-
-
-def _components(n: int, cs: CoalitionStructure) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the coalition supports, as (agents, coalition
-    indices) pairs in order of least agent.  An agent in no coalition is a
-    component, and so is each coalition without an agent (these come last)."""
-    least = list(range(n))
-    for c in cs.coalitions:
-        merged = {least[j] for j in c.support}
-        least = [min(merged) if x in merged else x for x in least]
-    comps = {x: ([], []) for x in sorted(set(least))}
-    for j, x in enumerate(least):
-        comps[x][0].append(j)
-    for i, c in enumerate(cs.coalitions):
-        key = least[min(c.support)] if c.support else (i,)
-        comps.setdefault(key, ([], []))[1].append(i)
-    return list(comps.values())
 
 
 def _stable_totals(
@@ -332,20 +318,19 @@ def _stable_totals(
     """Per-agent totals of a stable division of ``cs`` and ``None``, or
     ``None`` and a :class:`BalancedCollection` proving that none exists.
 
-    With free entries, a division exists iff nonnegative totals meet the
-    subset condition and sum, on each component of :func:`_components`, to
-    its coalitions' values.  Constraint generation looks for them with
-    :func:`check_payoffs` as separation oracle, cutting ``p(S) >= vstar(S)``
-    for each witness ``S``.
+    ``cs`` must be within capacity.  With free entries, a division exists
+    iff nonnegative totals meet the subset condition and sum, on each
+    connected component of the coalition supports, to its coalitions'
+    values.  One total row implies the component rows: once the subset
+    condition holds, each component C of a valid structure has
+    ``value(C) <= vstar(C) <= p(C)``, so totals summing to the structure's
+    value sum to ``value(C)`` on every C.  Constraint generation looks for
+    the totals with :func:`check_payoffs` as separation oracle, cutting
+    ``p(S) >= vstar(S)`` for each witness ``S``.
     """
     n = game.n
-    comps = _components(n, cs)
     builder = lp.ProgramBuilder()
-    for j in range(n):
-        builder.var(j)
-    values = [game.value(c.units) for c in cs.coalitions]
-    for agents, members in comps:
-        builder.add(agents, "==", sum((values[i] for i in members), ZERO))
+    builder.add(range(n), "==", sum((game.value(c.units) for c in cs.coalitions), ZERO))
 
     def cut(p):
         S = check_payoffs(game, p).witness
@@ -357,27 +342,27 @@ def _stable_totals(
     result, program = lp.solve_with_separation(builder.program(), cut)
     if result.status != "infeasible":
         return result.assignment, None
-    return None, _balanced_collection(game, cs, comps, program, result.certificate)
+    return None, _balanced_collection(game, cs, program, result.certificate)
 
 
 def _balanced_collection(
-    game: Game, cs: CoalitionStructure, comps: list[tuple[list[int], list[int]]],
+    game: Game, cs: CoalitionStructure,
     program: lp.LinearProgram, farkas: Sequence[Fraction],
 ) -> BalancedCollection:
     """Reshape the engine's infeasibility multipliers into a balanced collection.
 
-    ``program`` has one row per component in ``comps``, then the cuts.  A
-    cut's multiplier weighs its agent set; a coalition takes its component's.
-    Each agent's slack (minus its combined coefficient, >= 0) weighs its
-    singleton: the row ``p_j >= vstar({j}) >= 0`` is implied, so the balance
-    equalities hold along this ray and its value only grows.  The ray is
-    added to the trivial collection (all mu = 1), scaled so that the
-    combined value strictly exceeds the grand coalition's optimum.
+    ``program`` has the total row, then the cuts.  A cut's multiplier weighs
+    its agent set; every coalition takes the total row's.  Each agent's
+    slack (minus its combined coefficient, >= 0) weighs its singleton: the
+    row ``p_j >= vstar({j}) >= 0`` is implied, so the balance equalities
+    hold along this ray and its value only grows.  The ray is added to the
+    trivial collection (all mu = 1), scaled so that the combined value
+    strictly exceeds the grand coalition's optimum.
     """
     rows = [(frozenset(j for j, a in enumerate(coeffs) if a), y)
             for (coeffs, _, _), y in zip(program.constraints, farkas)]
     gap = sum((y * rhs for (_, _, rhs), y in zip(program.constraints, farkas)), ZERO)
-    lam_ray = dict(rows[len(comps):])
+    lam_ray = dict(rows[1:])
     for j in range(game.n):
         slack = -sum((y for S, y in rows if j in S), ZERO)
         if slack:
@@ -386,14 +371,11 @@ def _balanced_collection(
             gap += slack * welfare.vstar(game, single)
     if gap <= 0:
         raise AssertionError(f"Farkas ray does not separate: gap {gap}")
-    mu_ray = [ZERO] * len(cs)
-    for (_, members), y in zip(comps, farkas):
-        for i in members:
-            mu_ray[i] = y
+    mu = farkas[0]
     base_value = sum((game.value(c.units) for c in cs.coalitions), ZERO)
     t = max(Q(1), (welfare.vstar(game, range(game.n)) - base_value + 1) / gap)
     lambdas = {S: t * l for S, l in lam_ray.items() if l != 0}
-    cert = BalancedCollection(lambdas, tuple(Q(1) + t * u for u in mu_ray))
+    cert = BalancedCollection(lambdas, (Q(1) + t * mu,) * len(cs))
     problems = cert.check(game, cs)
     if problems:  # pragma: no cover - guarded by LP duality
         raise AssertionError("bad certificate: " + "; ".join(problems))

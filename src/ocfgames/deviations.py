@@ -22,7 +22,7 @@ total deviator income is preferred (ties broken by enumeration order).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import FrozenSet, Iterable, Optional, Sequence
@@ -268,40 +268,44 @@ class _Search:
 
     # -- scoring ----------------------------------------------------------
 
+    def supporters(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """The deviators with a positive entry in ``vec`` (over sorted(J))."""
+        return tuple(j for j, u in zip(self.Js, vec) if u)
+
+    def padded(
+        self, structure, caps: Sequence[int], supported: Iterable[int] = ()
+    ) -> tuple[list[tuple[int, ...]], list[tuple[Fraction, tuple[int, ...]]]]:
+        """The vectors of ``structure`` and their (value, supporters) pools.
+
+        Each deviator outside ``supported`` and outside every coalition, with
+        a grid unit to spare in ``caps``, is folded into the first coalition
+        with that unit so it may take a share; values are recomputed after
+        the padding.
+        """
+        vecs = [list(vec) for vec, _ in structure]
+        if vecs:
+            left = [c - sum(col) for c, col in zip(caps, zip(*vecs))]
+            covered = set(supported)
+            for vec in vecs:
+                covered.update(self.supporters(vec))
+            for k, j in enumerate(self.Js):
+                if j not in covered and left[k] >= self.g:
+                    vecs[0][k] += self.g
+        vecs = [tuple(vec) for vec in vecs]
+        return vecs, [(self.value_of_scaled(vec), self.supporters(vec)) for vec in vecs]
+
     def try_candidate(self, cand: _Candidate):
         """Find a payoff division making every deviator strictly better off.
 
-        Pads deviators with spare capacity into the first new coalition so
-        they can legally receive a share, then solves a small LP maximizing
-        the minimum strict gain.  Returns (new vectors, per-pool share maps)
-        or None.
+        Pads the candidate's new coalitions (:meth:`padded`), then asks
+        :func:`_divide_strictly` for the split with the largest common gain.
+        Returns (new vectors, per-pool share maps) or None.
         """
-        left = list(cand.caps)
-        new_vecs = []
-        for vec, _ in cand.structure:
-            new_vecs.append(list(vec))
-            for k, u in enumerate(vec):
-                left[k] -= u
-        values = [val for _, val in cand.structure]
-        if new_vecs:
-            supported = set()
-            for amount, sup in cand.takes:
-                if amount > 0:
-                    supported |= sup
-            for vec in new_vecs:
-                supported |= {self.Js[k] for k, u in enumerate(vec) if u}
-            for k, j in enumerate(self.Js):
-                if j not in supported and left[k] >= self.g:
-                    new_vecs[0][k] += self.g
-                    left[k] -= self.g
-            values = [self.value_of_scaled(vec) for vec in new_vecs]
-
-        pools: list[tuple[Fraction, tuple[int, ...]]] = []
-        for amount, sup in cand.takes:
-            if amount > 0:
-                pools.append((amount, tuple(sorted(sup))))
-        for vec, val in zip(new_vecs, values):
-            pools.append((val, tuple(j for j, u in zip(self.Js, vec) if u)))
+        claimed = [(amount, tuple(sorted(sup))) for amount, sup in cand.takes if amount > 0]
+        new_vecs, built = self.padded(
+            cand.structure, cand.caps, (j for _, sup in claimed for j in sup)
+        )
+        pools = claimed + built
         total = sum((a for a, _ in pools), ZERO) + sum(cand.base.values(), ZERO)
         if total <= sum(self.pJ.values(), ZERO):
             return None
@@ -310,10 +314,11 @@ class _Search:
                 j in sup for _, sup in pools
             ):
                 return None
-        division = _divide_strictly(pools, cand.base, self.pJ, self.Js)
-        if division is None:
+        floors = {j: self.pJ[j] - cand.base.get(j, ZERO) for j in self.Js}
+        division = _divide_strictly(pools, floors)
+        if division is None or division[0] <= 0:
             return None
-        return new_vecs, division
+        return new_vecs, division[1]
 
 
 def _embed(
@@ -354,25 +359,41 @@ def _compositions(total: int, caps: Sequence[int], g: int):
     return rec(0, total)
 
 
-def _divide_strictly(pools, base, pJ, Js):
-    """Split each pool among its supporters so every deviator strictly gains.
+def _divide_strictly(pools, floors, maximize=None):
+    """Split pooled values among their supporters so that each agent in
+    ``floors`` gets its floor plus a common nonnegative margin.
 
-    Maximizes the minimum gain; returns per-pool share maps or None.
+    ``pools`` holds (amount, supporters) pairs; ``floors`` maps agents to
+    floors, in row order.  The program has one equality per pool, the margin
+    column, and one row ``shares(j) - margin >= floors[j]`` per agent; it
+    maximizes the margin, or agent ``maximize``'s total when given.  Returns
+    (margin, per-pool share maps), or None when no split meets the floors,
+    without solving when an agent with a positive floor is in no pool.
+    Without pools the answer is (0, []).
     """
-    if not pools:
+    supported = {j for _, sup in pools for j in sup}
+    if any(f > 0 and j not in supported for j, f in floors.items()):
         return None
+    if not pools:
+        return ZERO, []
     builder = lp.ProgramBuilder()
     for c, (amount, sup) in enumerate(pools):
         builder.add([(c, j) for j in sup], "==", amount)
     builder.var("eps")  # the common margin, after every share
-    for j in Js:
+    for j, floor in floors.items():
         terms = {(c, j): ONE for c, (_, sup) in enumerate(pools) if j in sup}
         terms["eps"] = -ONE
-        builder.add(terms, ">=", pJ[j] - base.get(j, ZERO))
-    result, x = builder.solve(maximize=["eps"])
-    if result.status != "optimal" or x["eps"] <= 0:
+        builder.add(terms, ">=", floor)
+    if maximize is None:
+        objective = ["eps"]
+    else:
+        objective = [(c, maximize) for c, (_, sup) in enumerate(pools) if maximize in sup]
+    result, x = builder.solve(maximize=objective)
+    if result.status == "infeasible":
         return None
-    return [{j: x[c, j] for j in sup} for c, (_, sup) in enumerate(pools)]
+    if result.status != "optimal":
+        raise AssertionError(f"division LP ended {result.status}")
+    return x["eps"], [{j: x[c, j] for j in sup} for c, (_, sup) in enumerate(pools)]
 
 
 def _try_best_first(ctx: _Search, candidates: list[_Candidate], resolution):

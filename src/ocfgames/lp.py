@@ -27,6 +27,7 @@ ONE = Q(1)
 
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]  # coeffs, <=/==/>=, rhs
 RELATIONS = ("<=", "==", ">=")
+SEPARATION_ROUNDS = 10000  # constraint-generation rounds before giving up
 
 
 @dataclass(frozen=True)
@@ -377,14 +378,13 @@ def verify_infeasibility(program: LinearProgram, cert: Sequence[Fraction]) -> bo
 def solve_with_separation(
     base: LinearProgram,
     oracle: Callable[[tuple[Fraction, ...]], Optional[Constraint]],
-    max_rounds: int = 10000,
 ) -> tuple[LPResult, LinearProgram]:
     """Constraint generation: solve, ask the oracle for a violated constraint,
     add it, repeat until the oracle is satisfied or the program is infeasible.
     """
     program = base
     seen = set(program.constraints)
-    for _ in range(max_rounds):
+    for _ in range(SEPARATION_ROUNDS):
         result = solve(program)
         if result.status in ("infeasible", "unbounded"):
             return result, program

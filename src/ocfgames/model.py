@@ -12,7 +12,7 @@ structural invariant and raises :class:`GameError` on violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -199,13 +199,6 @@ class PartialCoalition:
     def support(self) -> frozenset[int]:
         return frozenset(j for j, u in enumerate(self.units) if u != 0)
 
-    @property
-    def weight(self) -> Fraction:
-        return sum(self.units, ZERO)
-
-    def is_zero(self) -> bool:
-        return all(u == 0 for u in self.units)
-
 
 def crisp(game: Game, agents: Iterable[int]) -> PartialCoalition:
     """The coalition where each member contributes its whole weight."""
@@ -220,24 +213,15 @@ class CoalitionStructure:
     """Finite list of partial coalitions; duplicates allowed."""
 
     coalitions: tuple[PartialCoalition, ...]
-    cap: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "coalitions", tuple(self.coalitions))
-        if self.cap is not None and self.cap < 1:
-            raise GameError("structure cap must be a positive integer")
 
     def __len__(self) -> int:
         return len(self.coalitions)
 
     def agent_total(self, j: int) -> Fraction:
         return sum((c.units[j] for c in self.coalitions), ZERO)
-
-    def normalized(self) -> "CoalitionStructure":
-        """Drop all-zero coalitions (value 0, no payoff)."""
-        return CoalitionStructure(
-            tuple(c for c in self.coalitions if not c.is_zero()), self.cap
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,7 +286,7 @@ def payoff_vector(outcome: Outcome) -> tuple[Fraction, ...]:
 
 
 def validate_structure(game: Game, cs: CoalitionStructure) -> list[str]:
-    """Every violated capacity constraint and cap violation, empty when ok."""
+    """Every wrong-width coalition or violated capacity, empty when ok."""
     problems = []
     for i, c in enumerate(cs.coalitions):
         if len(c.units) != game.n:
@@ -315,8 +299,6 @@ def validate_structure(game: Game, cs: CoalitionStructure) -> list[str]:
             problems.append(
                 f"agent {j} over capacity by {total - game.weights[j]}"
             )
-    if cs.cap is not None and len(cs) > cs.cap:
-        problems.append(f"structure has {len(cs)} coalitions, cap is {cs.cap}")
     return problems
 
 

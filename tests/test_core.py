@@ -104,15 +104,13 @@ def test_stabilize_structure_accepts_the_symmetric_optimum():
     assert core.ttg_payoff_membership(g, p).stable
 
 
-def test_components_of_the_coalition_supports():
-    zero = Q(0)
-    cs = CoalitionStructure((
-        PartialCoalition((zero, zero, Q(1), Q(1))),
-        PartialCoalition((zero, zero, zero, zero)),  # no agent
-        PartialCoalition((Q(1), zero, zero, Q(1))),
-    ))
-    # agent 1 is in no coalition; the empty coalition comes last
-    assert core._components(4, cs) == [([0, 2, 3], [0, 2]), ([1], []), ([], [1])]
+def test_stabilize_structure_rejects_an_over_capacity_structure():
+    g = corpus.two_company_game()  # weights (4, 6)
+    cs = CoalitionStructure(
+        (PartialCoalition((Q(40), Q(60))), PartialCoalition((Q(40), Q(60))))
+    )
+    with pytest.raises(GameError, match="agent 0 over capacity by 76"):
+        core.stabilize_structure(g, cs)
 
 
 def test_stabilize_structure_agrees_with_the_lp_on_rule_based_games():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_outcome, random_ttg
 from ocfgames import core, corpus, deviations
@@ -153,3 +155,62 @@ def test_membership_and_direct_check_agree_for_conservative_kind():
         by_search = deviations.core_membership(g, o, kind="c", cap=4, grid=1)
         by_subsets = core.check_group_rationality(g, o)
         assert by_search.stable == by_subsets.stable
+
+
+def _rationals(lo, hi):
+    return st.builds(Q, st.integers(min_value=lo, max_value=hi),
+                     st.integers(min_value=1, max_value=3))
+
+
+@st.composite
+def division_instances(draw):
+    """Pools over up to four agents, and floors on some of them (agents in
+    no pool included)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    agents = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)
+    pools = draw(st.lists(
+        st.tuples(_rationals(0, 12), agents.map(lambda S: tuple(sorted(S)))),
+        min_size=1, max_size=4,
+    ))
+    floored = sorted(draw(agents))
+    floors = {j: draw(_rationals(-6, 10)) for j in floored}
+    return pools, floors
+
+
+def _hall(pools, floors, agents, strict):
+    """Gale's condition, by enumeration: every set T of ``agents`` has
+    positive floors summing to at most (strictly below, when ``strict``)
+    the amount of the pools some member of T supports."""
+    for k in range(1, len(agents) + 1):
+        for T in itertools.combinations(agents, k):
+            need = sum((max(floors[j], ZERO) for j in T), ZERO)
+            have = sum((a for a, sup in pools if set(sup) & set(T)), ZERO)
+            if need > have or (strict and need == have):
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_instances())
+def test_division_program_matches_the_hall_condition(instance):
+    pools, floors = instance
+    answer = deviations._divide_strictly(pools, floors)
+    assert (answer is not None) == _hall(pools, floors, sorted(floors), strict=False)
+    if answer is None:
+        return
+    margin, shares = answer
+    nonnegative = sorted(j for j, f in floors.items() if f >= 0)
+    assert (margin > 0) == _hall(pools, floors, nonnegative, strict=True)
+    assert margin >= 0 and len(shares) == len(pools)
+    for (amount, sup), share in zip(pools, shares):
+        assert sorted(share) == list(sup)
+        assert all(x >= 0 for x in share.values())
+        assert sum(share.values(), ZERO) == amount
+    total = {j: sum((share.get(j, ZERO) for share in shares), ZERO) for j in floors}
+    assert all(total[j] >= f + margin for j, f in floors.items())
+    # maximizing one agent keeps the floors and pays it at least as much
+    agent = min(floors)
+    best = deviations._divide_strictly(pools, floors, maximize=agent)
+    paid = {j: sum((share.get(j, ZERO) for share in best[1]), ZERO) for j in floors}
+    assert all(paid[j] >= f for j, f in floors.items())
+    assert paid[agent] >= total[agent]

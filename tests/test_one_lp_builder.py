@@ -1,7 +1,9 @@
 """Every linear program of the library is assembled by ``lp.ProgramBuilder``:
 no module but ``lp.py`` constructs a ``LinearProgram`` itself.  Both
 stabilizations share one constraint-generation engine, so the library calls
-``lp.solve_with_separation`` from one place."""
+``lp.solve_with_separation`` from one place.  Deviation search, the convexity
+witness and greedy construction share one division program, so builders are
+opened in five functions only."""
 
 from __future__ import annotations
 
@@ -37,3 +39,22 @@ def test_solve_with_separation_has_one_caller():
         if isinstance(node, ast.Call) and _called_name(node) == "solve_with_separation"
     ]
     assert len(found) == 1, found
+
+
+def test_program_builders_are_opened_in_five_functions():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and _called_name(node) == "ProgramBuilder":
+                    found.add(f"{path.stem}.{func.name}")
+    assert found == {
+        "core._stable_totals",
+        "core.stabilize_structure",
+        "deviations._divide_strictly",
+        "welfare._feasible_by_lp",
+        "corpus._partition_stabilizable",
+    }
