@@ -93,6 +93,48 @@ class _Candidate:
         )
 
 
+# The last per-outcome scaling computed, as one tuple (game, outcome, grid,
+# scaling).  It holds strong references, so an identity match is never a
+# reused id, and a caller reads the slot once, so a concurrent writer never
+# shows it a mixed entry.
+_last_scaling: Optional[tuple] = None
+
+
+def _scaling(game: Game, outcome: Optional[Outcome], grid: int) -> tuple:
+    """The scaling every deviator set of one (game, outcome, grid) shares.
+
+    Returns ``(M, g, w, units, supports, p)``: the scale ``M`` (a multiple of
+    ``grid`` making weights, thresholds or minima and contributions
+    integral), the grid step ``g = M // grid``, the scaled weights, the
+    scaled contribution rows, the coalition supports and the payoff vector
+    (zeros without an outcome).  The last answer is memoized, keyed by the
+    identity of ``game`` and ``outcome`` and by ``grid``.
+    """
+    global _last_scaling
+    memo = _last_scaling
+    if memo is not None and memo[0] is game and memo[1] is outcome and memo[2] == grid:
+        return memo[3]
+    if isinstance(game, TTG):
+        data = [t.threshold for t in game.tasks]
+    else:
+        data = [req.minimum for rule in game.rules for req in rule.requirements]
+    coalitions = () if outcome is None else outcome.structure.coalitions
+    M0 = common_denominator(
+        list(game.weights) + data + [u for c in coalitions for u in c.units]
+    )
+    M = lcm(M0, grid)
+    scaling = (
+        M,
+        M // grid,
+        tuple(int(x * M) for x in game.weights),
+        tuple(tuple(int(u * M) for u in c.units) for c in coalitions),
+        tuple(c.support for c in coalitions),
+        payoff_vector(outcome) if outcome is not None else (ZERO,) * game.n,
+    )
+    _last_scaling = (game, outcome, grid, scaling)
+    return scaling
+
+
 class _Search:
     """Shared scaled-integer machinery for one (game, outcome, J) question."""
 
@@ -110,27 +152,10 @@ class _Search:
         self.Js = tuple(sorted(self.J))
         self.cap = cap
         self.grid = grid
-        if isinstance(game, TTG):
-            data = [t.threshold for t in game.tasks]
-        else:
-            data = [req.minimum for rule in game.rules for req in rule.requirements]
-        coalitions = () if outcome is None else outcome.structure.coalitions
-        units = [u for c in coalitions for u in c.units]
-        M0 = common_denominator(list(game.weights) + data + units)
-        self.M = lcm(M0, grid)
-        self.g = self.M // grid
-        self.w = tuple(int(x * self.M) for x in game.weights)
-        self.units = [tuple(int(u * self.M) for u in c.units) for c in coalitions]
-        self.p = (
-            payoff_vector(outcome) if outcome is not None else (ZERO,) * game.n
-        )
+        self.M, self.g, self.w, self.units, supports, self.p = _scaling(game, outcome, grid)
         self.pJ = {j: self.p[j] for j in self.Js}
-        self.mixed = [
-            i for i, c in enumerate(coalitions) if not c.support <= self.J
-        ]
-        self.dev_only = [
-            i for i in range(len(coalitions)) if i not in self.mixed
-        ]
+        self.mixed = [i for i, sup in enumerate(supports) if not sup <= self.J]
+        self.dev_only = [i for i, sup in enumerate(supports) if sup <= self.J]
         self._structure_memo: dict = {}
         self._vector_memo: dict = {}
 
@@ -400,9 +425,9 @@ def _try_best_first(ctx: _Search, candidates: list[_Candidate], resolution):
     """Try candidates in decreasing order of total deviator income."""
     target = sum(ctx.pJ.values(), ZERO)
     scored = [
-        (cand.total(), idx, cand)
+        (total, idx, cand)
         for idx, cand in enumerate(candidates)
-        if cand.total() > target
+        if (total := cand.total()) > target
     ]
     scored.sort(key=lambda s: (-s[0], s[1]))
     for _, _, cand in scored:

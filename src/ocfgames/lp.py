@@ -339,7 +339,7 @@ def _check_feasible(program: LinearProgram, x: Sequence[Fraction]) -> None:
         if j not in program.free and v < 0:
             raise AssertionError(f"solver returned negative value for {program.names[j]}")
     for coeffs, rel, rhs in program.constraints:
-        lhs = sum((Q(a) * v for a, v in zip(coeffs, x)), ZERO)
+        lhs = sum((a * v for a, v in zip(coeffs, x) if a and v), ZERO)
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
         if not ok:
             raise AssertionError(f"solver returned an infeasible point: {lhs} {rel} {rhs}")
@@ -363,9 +363,12 @@ def verify_infeasibility(program: LinearProgram, cert: Sequence[Fraction]) -> bo
             return False
         if rel == ">=" and u < 0:
             return False
+        if not u:
+            continue
         for j, a in enumerate(coeffs):
-            combined[j] += u * Q(a)
-        total += u * Q(rhs)
+            if a:
+                combined[j] += u * a
+        total += u * rhs
     for j in range(n):
         if j in program.free:
             if combined[j] != 0:

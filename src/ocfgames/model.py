@@ -86,6 +86,11 @@ class TTG:
     def __post_init__(self):
         object.__setattr__(self, "weights", _check_weights(self.weights))
         object.__setattr__(self, "tasks", normalize_tasks(self.tasks))
+        object.__setattr__(self, "_hash", hash((self.weights, self.tasks)))
+
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once: cache lookups key on the game
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -160,6 +165,10 @@ class RuleBasedGame:
             for req in rule.requirements:
                 if any(j < 0 or j >= n for j in req.agents):
                     raise GameError(f"requirement names an unknown agent: {req}")
+        object.__setattr__(self, "_hash", hash((self.weights, self.rules)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

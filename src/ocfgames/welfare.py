@@ -10,6 +10,7 @@ multisets with an exact feasibility check.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,7 @@ from ocfgames.model import (
     TTG,
     to_nonoverlapping,
 )
-from ocfgames.rationals import Q
+from ocfgames.rationals import Q, common_denominator
 
 ZERO = Q(0)
 # Cache budgets (entries, least recently used evicted first): profiles are
@@ -270,12 +271,15 @@ def _rule_cover(game: RuleBasedGame, S: FrozenSet[int], cap: Optional[int] = Non
     if not usable:
         return ZERO
     usable.sort(key=lambda rn: rn[0].value / rn[1], reverse=True)
+    # nonincreasing, so the best density of a suffix is its first entry's
+    density = [rule.value / need for rule, need in usable]
 
     best = ZERO
 
     def dfs(idx: int, multiset: tuple[int, ...], value: Fraction, spent: Fraction):
+        # the caller has found ``multiset`` feasible (the root one is empty)
         nonlocal best
-        if value > best and _multiset_feasible(game, S, [usable[i][0] for i in multiset]):
+        if value > best:
             best = value
         if cap is not None and len(multiset) >= cap:
             return
@@ -284,8 +288,7 @@ def _rule_cover(game: RuleBasedGame, S: FrozenSet[int], cap: Optional[int] = Non
             if spent + need > budget:
                 continue
             # optimistic bound: fill the rest at the best remaining density
-            density = max(usable[k][0].value / usable[k][1] for k in range(i, len(usable)))
-            if value + rule.value + (budget - spent - need) * density <= best:
+            if value + rule.value + (budget - spent - need) * density[i] <= best:
                 continue
             if not _multiset_feasible(
                 game, S, [usable[k][0] for k in multiset] + [rule]
@@ -316,60 +319,67 @@ def _multiset_feasible(
 def _feasible_by_flow(
     game: RuleBasedGame, S: FrozenSet[int], instances: Sequence[Rule]
 ) -> bool:
-    """Max-flow feasibility: agents supply, requirement instances demand."""
+    """Max-flow feasibility: agents supply, requirement instances demand.
+
+    Capacities are integers, scaled by the LCD of S's weights and the
+    requirement minima; augmenting paths are shortest (Edmonds-Karp) and the
+    search stops once the flow meets the demand.
+    """
     agents = sorted(S)
-    reqs = [
-        (ci, req) for ci, rule in enumerate(instances) for req in rule.requirements
-    ]
-    demand = sum((req.minimum for _, req in reqs), ZERO)
+    reqs = [req for rule in instances for req in rule.requirements if req.minimum]
+    D = common_denominator(
+        [game.weights[j] for j in agents] + [req.minimum for req in reqs]
+    )
+    need = [int(req.minimum * D) for req in reqs]
+    demand = sum(need)
     if demand == 0:
         return True
-    # node ids: 0 = source, 1..len(agents) = agents, then requirements, last = sink
-    src = 0
-    sink = 1 + len(agents) + len(reqs)
-    INF = demand + 1
-    cap: dict[tuple[int, int], Fraction] = {}
+    # nodes: 0 = source, 1..len(agents) = agents, then requirements, last = sink
+    src, sink = 0, 1 + len(agents) + len(reqs)
+    residual = [[0] * (sink + 1) for _ in range(sink + 1)]
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+
+    def edge(u: int, v: int, capacity: int) -> None:
+        residual[u][v] = capacity
+        adj[u].append(v)
+        adj[v].append(u)
+
     for ai, j in enumerate(agents):
-        cap[(src, 1 + ai)] = game.weights[j]
-    for ri, (_, req) in enumerate(reqs):
+        edge(src, 1 + ai, int(game.weights[j] * D))
+    for ri, req in enumerate(reqs):
         rnode = 1 + len(agents) + ri
-        cap[(rnode, sink)] = req.minimum
+        edge(rnode, sink, need[ri])
         for ai, j in enumerate(agents):
             if j in req.agents:
-                cap[(1 + ai, rnode)] = INF
-    flow = _max_flow(sink + 1, cap, src, sink)
-    return flow == demand
-
-
-def _max_flow(n: int, cap: dict[tuple[int, int], Fraction], s: int, t: int) -> Fraction:
-    residual = dict(cap)
-    for (u, v) in list(cap):
-        residual.setdefault((v, u), ZERO)
-    adj: dict[int, list[int]] = {u: [] for u in range(n)}
-    for (u, v) in residual:
-        adj[u].append(v)
-    total = ZERO
+                edge(1 + ai, rnode, need[ri])
+    total = 0
     while True:
-        parent = {s: s}
-        queue = [s]
-        while queue and t not in parent:
-            u = queue.pop(0)
+        parent = [-1] * (sink + 1)
+        parent[src] = src
+        queue = deque((src,))
+        while queue and parent[sink] < 0:
+            u = queue.popleft()
             for v in adj[u]:
-                if v not in parent and residual[(u, v)] > 0:
+                if parent[v] < 0 and residual[u][v] > 0:
                     parent[v] = u
                     queue.append(v)
-        if t not in parent:
-            return total
-        path = []
-        v = t
-        while v != s:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(residual[e] for e in path)
-        for (u, v) in path:
-            residual[(u, v)] -= push
-            residual[(v, u)] += push
+        if parent[sink] < 0:
+            return False
+        push = demand - total
+        v = sink
+        while v != src:
+            u = parent[v]
+            push = min(push, residual[u][v])
+            v = u
+        v = sink
+        while v != src:
+            u = parent[v]
+            residual[u][v] -= push
+            residual[v][u] += push
+            v = u
         total += push
+        if total == demand:
+            return True
 
 
 def _feasible_by_lp(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_outcome, random_ttg
-from ocfgames import core, corpus, deviations
+from ocfgames import convexity, core, corpus, deviations
 from ocfgames.model import (
     CoalitionStructure,
     GameError,
@@ -214,3 +214,42 @@ def test_division_program_matches_the_hall_condition(instance):
     paid = {j: sum((share.get(j, ZERO) for share in best[1]), ZERO) for j in floors}
     assert all(paid[j] >= f for j, f in floors.items())
     assert paid[agent] >= total[agent]
+
+
+def test_scaling_memo_keeps_verdicts_of_interleaved_questions():
+    """Membership with the per-outcome scaling memoized gives the verdicts it
+    gives with the memo cleared before every call, across interleaved games,
+    outcomes (equal copies included), grids and convexity searches."""
+    rng = random.Random(5)  # the first games include o verdicts that differ by grid
+    cases = []
+    for _ in range(6):
+        g = random_ttg(rng, max_n=3, max_total=7, max_tasks=3)
+        cases += [(g, random_outcome(rng, g)) for _ in range(2)]
+    g, y, xp, z, yp = company_fixtures()
+    cases += [(g, y), (g, Outcome(y.structure, y.payoffs)), (g, xp), (g, z), (g, yp)]
+    cases.append((corpus.triple_effort_game(), corpus._triple_effort_outcome()))
+    # each case asks grids 1 and 2 in turn, and neighbouring cases meet on
+    # the same grid, so the slot is hit and missed by grid, game and outcome
+    calls = [(game, outcome, kind, grid)
+             for kind in "cro"
+             for order in (1, -1)
+             for k, (game, outcome) in enumerate(cases[::order])
+             for grid in ((1, 2) if k % 2 == 0 else (2, 1))]
+
+    games = list({id(game): game for game, _ in cases}.values())
+
+    def run(clear):
+        verdicts = []
+        for k, (game, outcome, kind, grid) in enumerate(calls):
+            if clear:
+                deviations._last_scaling = None
+            verdicts.append(deviations.core_membership(game, outcome, kind, cap=2, grid=grid))
+            if k % 7 == 0:
+                convexity.falsify_convexity(game, cap=2, grid=grid)
+        for game in games:  # without an outcome, only the game tells entries apart
+            if clear:
+                deviations._last_scaling = None
+            verdicts.append(convexity.falsify_convexity(game, cap=2, grid=1))
+        return verdicts
+
+    assert run(clear=False) == run(clear=True)

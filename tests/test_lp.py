@@ -281,3 +281,105 @@ def test_builder_solve_reads_values_back_by_key():
     b.add([("b", 0)], ">=", Q(4))
     result, x = b.solve()
     assert result.status == "infeasible" and x == {}
+
+
+def _dense_point_ok(program, x) -> bool:
+    """Reference for ``lp._check_feasible``: every coefficient, every row."""
+    if any(v < 0 for j, v in enumerate(x) if j not in program.free):
+        return False
+    for coeffs, rel, rhs in program.constraints:
+        lhs = sum((Q(a) * Q(v) for a, v in zip(coeffs, x)), ZERO)
+        if not (lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs):
+            return False
+    return True
+
+
+def _dense_certificate_ok(program, cert) -> bool:
+    """Reference for ``lp.verify_infeasibility``: every multiplier, every column."""
+    if len(cert) != len(program.constraints):
+        return False
+    combined = [ZERO] * len(program.names)
+    total = ZERO
+    for u, (coeffs, rel, rhs) in zip(cert, program.constraints):
+        if (rel == "<=" and u > 0) or (rel == ">=" and u < 0):
+            return False
+        for j, a in enumerate(coeffs):
+            combined[j] += Q(u) * Q(a)
+        total += Q(u) * Q(rhs)
+    for j, c in enumerate(combined):
+        if (c != 0) if j in program.free else (c > 0):
+            return False
+    return total > 0
+
+
+def _point_accepted(program, x) -> bool:
+    try:
+        lp._check_feasible(program, x)
+    except AssertionError:
+        return False
+    return True
+
+
+_multipliers = st.builds(Q, st.integers(-2, 2), st.sampled_from((1, 2)))
+
+
+@settings(max_examples=400)
+@given(_tiny_programs(), st.data())
+def test_answer_checks_agree_with_dense_references(program, data):
+    m, n = len(program.constraints), len(program.names)
+    cert = data.draw(st.tuples(*[_multipliers] * m))
+    x = data.draw(st.tuples(*[_multipliers] * n))
+    assert lp.verify_infeasibility(program, cert) == _dense_certificate_ok(program, cert)
+    assert _point_accepted(program, x) == _dense_point_ok(program, x)
+    result = lp.solve(program)
+    if result.certificate is not None:
+        assert _dense_certificate_ok(program, result.certificate)
+        # one multiplier redrawn: accepted by both or by neither
+        k = data.draw(st.integers(0, m - 1))
+        bent = result.certificate[:k] + (data.draw(_multipliers),) + result.certificate[k + 1:]
+        assert lp.verify_infeasibility(program, bent) == _dense_certificate_ok(program, bent)
+    if result.assignment is not None:
+        assert _dense_point_ok(program, result.assignment)
+
+
+def test_verify_infeasibility_rejects_bad_certificates():
+    # x >= 3 and x <= 2 over x, y >= 0, with two all-zero rows and x <= 3
+    program = lp.LinearProgram(
+        ("x", "y"),
+        (
+            ((Q(1), ZERO), ">=", Q(3)),
+            ((Q(1), ZERO), "<=", Q(2)),
+            ((ZERO, ZERO), "<=", Q(5)),
+            ((ZERO, ZERO), ">=", Q(-5)),
+            ((Q(1), ZERO), "<=", Q(3)),
+        ),
+    )
+    assert lp.verify_infeasibility(program, (Q(1), Q(-1), ZERO, ZERO, ZERO))
+    bad = {
+        "wrong sign on a <= row": (Q(1), Q(1), ZERO, ZERO, ZERO),
+        "wrong sign on a >= row": (Q(-1), Q(-1), ZERO, ZERO, ZERO),
+        "wrong sign on an all-zero <= row": (Q(1), Q(-1), Q(1), ZERO, ZERO),
+        "wrong sign on an all-zero >= row": (Q(1), Q(-1), ZERO, Q(-1), ZERO),
+        "positive on a nonnegative column": (Q(2), Q(-1), ZERO, ZERO, ZERO),
+        "a total of zero": (Q(1), ZERO, ZERO, ZERO, Q(-1)),
+        "too few multipliers": (Q(1), Q(-1)),
+    }
+    for why, cert in bad.items():
+        assert not _dense_certificate_ok(program, cert), why
+        assert not lp.verify_infeasibility(program, cert), why
+    # a free column must cancel exactly
+    free = lp.LinearProgram(("y",), (((Q(1),), ">=", Q(1)),), free=frozenset({0}))
+    assert not lp.verify_infeasibility(free, (Q(1),))
+
+
+def test_check_feasible_reads_every_nonzero_coefficient():
+    program = lp.LinearProgram(
+        ("x", "y", "z"),
+        (((Q(-1), ZERO, Q(2)), "<=", Q(1)), ((ZERO, ZERO, ZERO), ">=", Q(-1))),
+        free=frozenset({0}),
+    )
+    assert _point_accepted(program, (Q(-1), ZERO, ZERO))
+    assert not _point_accepted(program, (Q(-1), Q(7), Q(1)))  # -(-1) + 2 = 3 > 1
+    assert not _point_accepted(program, (ZERO, ZERO, Q(-1)))  # z is not free
+    empty = lp.LinearProgram(("x",), (((ZERO,), ">=", Q(1)),))
+    assert not _point_accepted(empty, (ZERO,))

@@ -74,6 +74,17 @@ def test_rule_based_value_requires_all_requirements():
     assert g.value((ZERO, Q(3))) == 0
 
 
+def test_game_hash_is_the_field_hash_and_equality_is_by_value():
+    ttg = TTG((Q(1), Q(2, 3)), (TaskType(Q(1), Q(2)),))
+    rules = RuleBasedGame((Q(2), Q(3)), (Rule((Requirement(frozenset({0}), Q(1)),), Q(7)),))
+    assert hash(ttg) == hash((ttg.weights, ttg.tasks))
+    assert hash(rules) == hash((rules.weights, rules.rules))
+    twin = TTG((Q(1), Q(2, 3)), (TaskType(Q(1), Q(2)),))
+    assert twin == ttg and hash(twin) == hash(ttg) and twin is not ttg
+    assert TTG((Q(1), Q(1)), ttg.tasks) != ttg
+    assert "_hash" not in repr(ttg) and "_hash" not in repr(rules)
+
+
 def test_crisp_puts_full_weight_on_members():
     g = simple_game()
     c = crisp(g, {0, 2})

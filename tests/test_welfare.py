@@ -5,11 +5,19 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_best_utility, random_ttg
 from ocfgames import corpus, welfare
-from ocfgames.model import GameError, TTG, TaskType, validate_structure
+from ocfgames.model import (
+    GameError,
+    Requirement,
+    Rule,
+    RuleBasedGame,
+    TTG,
+    TaskType,
+    validate_structure,
+)
 
 ZERO = Q(0)
 
@@ -138,3 +146,107 @@ def test_bounded_caches_evict_and_recompute_equal_values():
     for g, values in zip(games, first):
         for S, v in zip(agent_sets, values):
             assert v == brute_best_utility(g, sum(g.weights[j] for j in S))
+
+
+_p_over_q = st.builds(Q, st.integers(0, 9), st.integers(1, 4))
+
+
+@st.composite
+def _disjoint_multisets(draw):
+    """A rule-based game with p/q weights, a multiset of its rules whose
+    requirements are pairwise disjoint within each rule, and an agent set."""
+    n = draw(st.integers(1, 4))
+    weights = tuple(draw(st.builds(Q, st.integers(1, 9), st.integers(1, 4)))
+                    for _ in range(n))
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        owner = [draw(st.integers(-1, 2)) for _ in range(n)]  # -1: in no group
+        groups = [frozenset(j for j in range(n) if owner[j] == k) for k in range(3)]
+        reqs = tuple(Requirement(grp, draw(_p_over_q)) for grp in groups if grp)
+        if reqs:
+            rules.append(Rule(reqs, Q(1)))
+    if not rules:
+        rules.append(Rule((Requirement(frozenset({0}), Q(1)),), Q(1)))
+    game = RuleBasedGame(weights, tuple(rules))
+    instances = [rules[k] for k in draw(
+        st.lists(st.integers(0, len(rules) - 1), min_size=1, max_size=4))]
+    S = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return game, S, instances
+
+
+_SHARED = RuleBasedGame(
+    (Q(1), Q(1)),
+    (Rule((Requirement(frozenset({0, 1}), Q(1)),), Q(1)),
+     Rule((Requirement(frozenset({0}), Q(1)),), Q(1))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_disjoint_multisets())
+# agent 0 first fills the shared requirement and must be rerouted to its own
+@example((_SHARED, frozenset({0, 1}), list(_SHARED.rules)))
+def test_integer_flow_test_agrees_with_the_lp_test(case):
+    game, S, instances = case
+    assert welfare._feasible_by_flow(game, S, instances) == \
+        welfare._feasible_by_lp(game, S, instances)
+
+
+def test_rule_cover_tests_each_multiset_at_most_once(monkeypatch):
+    asked: dict[tuple, int] = {}
+    feasible = welfare._multiset_feasible
+
+    def counting(game, S, instances):
+        key = (S, tuple(sorted(map(id, instances))))
+        asked[key] = asked.get(key, 0) + 1
+        return feasible(game, S, instances)
+
+    monkeypatch.setattr(welfare, "_multiset_feasible", counting)
+    g = corpus.four_escorts_game()
+    for S in (range(7), {0, 2, 4, 6}, {3, 4, 5, 6}):
+        for cap in (None, 1, 2):
+            asked.clear()
+            value = welfare._rule_cover(g, frozenset(S), cap)
+            assert value > 0 and asked
+            assert max(asked.values()) == 1, (S, cap)
+
+
+@st.composite
+def _small_rule_games(draw):
+    n = draw(st.integers(1, 3))
+    weights = tuple(draw(st.builds(Q, st.integers(1, 3), st.integers(1, 2)))
+                    for _ in range(n))
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        reqs = tuple(
+            Requirement(frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1))),
+                        draw(st.builds(Q, st.integers(1, 3), st.integers(1, 2))))
+            for _ in range(draw(st.integers(1, 2)))
+        )
+        rules.append(Rule(reqs, Q(draw(st.integers(1, 9)))))
+    S = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return RuleBasedGame(weights, tuple(rules)), S, draw(st.integers(1, 3))
+
+
+# the best cover, three copies of the second rule, lies past the denser first
+# rule's branch; a bound from the sparsest rule would prune it
+_BRANCHY = RuleBasedGame(
+    (Q(6),),
+    tuple(Rule((Requirement(frozenset({0}), Q(need)),), value)
+          for need, value in ((5, Q(10)), (2, Q(18, 5)), (6, Q(1, 10)))),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_rule_games())
+@example((_BRANCHY, frozenset({0}), 3))
+def test_rule_cover_matches_multiset_enumeration(case):
+    """The pruned search against every multiset of at most ``cap`` rules,
+    each tested by the LP."""
+    game, S, cap = case
+    best = ZERO
+    for k in range(1, cap + 1):
+        for picked in itertools.combinations_with_replacement(game.rules, k):
+            value = sum((rule.value for rule in picked), ZERO)
+            if value > best and welfare._feasible_by_lp(game, S, picked):
+                best = value
+    assert welfare._rule_cover(game, S, cap) == best
