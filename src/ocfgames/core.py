@@ -13,8 +13,8 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import FrozenSet, Iterable, Optional, Sequence
+from functools import cmp_to_key, lru_cache
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence
 
 from ocfgames import lp, welfare
 from ocfgames.model import (
@@ -161,7 +161,8 @@ class MinPayoffTable:
     ``P[i][w]`` is the cheapest (by payoff) subset of the first ``i`` agents
     whose scaled weights sum to at least ``w``, as an integer in units of
     ``1/denom``; ``None`` marks "no subset" (``w`` beyond the first ``i``
-    agents' total weight).
+    agents' total weight).  A table built ``upto`` a weight holds the
+    columns ``0..upto`` only.
     """
 
     scale: int
@@ -173,64 +174,130 @@ class MinPayoffTable:
         return Q(self.P[-1][w], self.denom)
 
 
-def _scaled_payoffs(payoffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The payoffs' common denominator ``D`` and the integers ``p * D``."""
-    ps = [Q(x) for x in payoffs]
-    D = common_denominator(ps)
-    return D, [x.numerator * (D // x.denominator) for x in ps]
+class _Scaled(NamedTuple):
+    """One check's integers: weights in units of ``1/scale`` (``total`` in
+    all) and payoffs in units of ``1/denom``."""
+
+    scale: int
+    total: int
+    weights: list[int]
+    denom: int
+    ints: list[int]
 
 
-def min_payoff_table(game: TTG, payoffs: Sequence[Fraction]) -> MinPayoffTable:
+def _scale(game: TTG, payoffs: Sequence[Fraction]) -> _Scaled:
+    """Integer weights and payoffs; refuses a game past ``DP_CELL_BUDGET``
+    (:func:`welfare.scaled_total_weight`) before anything else."""
     M, W = welfare.scaled_total_weight(game)
-    weights = [int(w * M) for w in game.weights]
-    D, ints = _scaled_payoffs(payoffs)
+    D = common_denominator(payoffs)
+    return _Scaled(
+        M, W,
+        [w.numerator * (M // w.denominator) for w in game.weights],
+        D,
+        [x.numerator * (D // x.denominator) for x in payoffs],
+    )
+
+
+def min_payoff_table(
+    game: TTG, payoffs: Sequence[Fraction], upto: Optional[int] = None,
+    *, scaled: Optional[_Scaled] = None,
+) -> MinPayoffTable:
+    """The table of :class:`MinPayoffTable`, with the columns ``0..upto``
+    (all of them by default).  ``P[i][w]`` reads only columns ``<= w`` of
+    row ``i - 1``, so a truncated table is an exact prefix of the full one.
+    ``scaled`` is :func:`_scale` of the same arguments, when the caller has
+    it already."""
+    s = _scale(game, payoffs) if scaled is None else scaled
+    top = s.total if upto is None else upto
     # Row i is feasible exactly up to the first i agents' total weight, so
     # inside that prefix both branches of the recurrence are integers.
     row = [0]
-    P = [tuple(row) + (None,) * W]
-    for wi, pi in zip(weights, ints):
-        take = [x + pi for x in itertools.chain(itertools.repeat(row[0], wi), row)]
+    P = [tuple(row) + (None,) * top]
+    for wi, pi in zip(s.weights, s.ints):
+        shifted = row[:max(0, top + 1 - wi)]
+        take = [x + pi for x in
+                itertools.chain(itertools.repeat(row[0], min(wi, top + 1)), shifted)]
         feasible = len(row)
         row = [a if a <= b else b for a, b in zip(row, take)]
         row += take[feasible:]
-        P.append(tuple(row) + (None,) * (W + 1 - len(row)))
-    return MinPayoffTable(M, D, tuple(P))
+        P.append(tuple(row) + (None,) * (top + 1 - len(row)))
+    return MinPayoffTable(s.scale, s.denom, tuple(P))
 
 
-def _recover_cheap_subset(
-    game: TTG, payoffs: Sequence[Fraction], table: MinPayoffTable, w: int
-) -> FrozenSet[int]:
+def _recover_cheap_subset(table: MinPayoffTable, s: _Scaled, w: int) -> FrozenSet[int]:
     """Backtrack a subset attaining ``P[n][w]``; prefers leaving out the
     higher-index agent when both branches attain the minimum."""
-    M = table.scale
-    weights = [int(x * M) for x in game.weights]
-    _, ints = _scaled_payoffs(payoffs)
     chosen = []
-    target = table.P[game.n][w]
-    for i in range(game.n, 0, -1):
+    target = table.P[-1][w]
+    for i in range(len(table.P) - 1, 0, -1):
         if table.P[i - 1][w] == target:
             continue  # skip agent i-1
         chosen.append(i - 1)
-        w = max(0, w - weights[i - 1])
-        target -= ints[i - 1]
+        w = max(0, w - s.weights[i - 1])
+        target -= s.ints[i - 1]
     return frozenset(chosen)
 
 
+def _greedy_bound(
+    s: _Scaled, steps: tuple[Sequence[int], Sequence[Fraction]]
+) -> Optional[int]:
+    """A weight at which some agent set is paid less than its value, or
+    ``None`` when the greedy prefixes find none.
+
+    Agents are taken by ascending payoff per unit weight (exact integer
+    cross-multiplication, ties by index).  Each prefix is a real subset, so
+    its payoff bounds the cheapest subset at every weight it reaches: the
+    first prefix paid less than the value of its weight certifies a
+    shortfall at the smallest step weight whose value its payoff misses.
+    """
+    weights, ints, D = s.weights, s.ints, s.denom
+    order = sorted(range(len(weights)), key=cmp_to_key(
+        lambda i, j: ints[i] * weights[j] - ints[j] * weights[i] or i - j))
+    step_weights, values = steps
+    reach = cost = 0
+    for i in order:
+        reach += weights[i]
+        cost += ints[i]
+        k = bisect_right(step_weights, reach) - 1
+        u = values[k]
+        if cost * u.denominator < u.numerator * D:
+            # values rise strictly, so the earliest step paid short is a bisection away
+            return step_weights[bisect_right(values, Q(cost, D), hi=k)]
+    return None
+
+
 def _first_shortfall(
-    game: TTG, p: Sequence[Fraction], table: MinPayoffTable, values: Iterable[Fraction]
+    game: TTG, p: Sequence[Fraction], steps: tuple[Sequence[int], Sequence[Fraction]]
 ) -> CoreVerdict:
-    """Compare ``P[n][w]`` with ``values`` (one per w = 1, 2, ...) in integers;
-    the first w paid less than its value yields a blocking set."""
-    row, D = table.P[-1], table.denom
-    for w, u in enumerate(values, start=1):
-        c = row[w]
+    """The first weight ``w`` at which the cheapest subset pooling ``w`` is
+    paid less than ``v(w)``, with a subset paid exactly that.
+
+    ``steps`` gives the nondecreasing value function ``v`` on ``1..W`` as
+    the weights where it can rise (``1`` first, then strictly increasing)
+    and its values there.  The cheapest payoff ``P[n][w]`` never falls as
+    ``w`` grows and ``v`` is constant between steps, so a first failure lies
+    on a step weight.  The table is built only up to the greedy bound
+    (:func:`_greedy_bound`); without one, in full.  Payoffs and values are
+    compared in integers.
+    """
+    s = _scale(game, p)
+    bound = _greedy_bound(s, steps)
+    table = min_payoff_table(game, p, upto=bound, scaled=s)
+    cheapest, D = table.P[-1], s.denom
+    last = len(cheapest) - 1
+    for w, u in zip(*steps):
+        if w > last:
+            break
+        c = cheapest[w]
         if c * u.denominator < u.numerator * D:
             return CoreVerdict(
                 stable=False,
-                witness=_recover_cheap_subset(game, p, table, w),
+                witness=_recover_cheap_subset(table, s, w),
                 witness_value=u,
-                shortfall=u - table.cheapest(w),
+                shortfall=u - Q(c, D),
             )
+    if bound is not None:  # pragma: no cover - a greedy prefix is a subset
+        raise AssertionError(f"greedy bound {bound} certifies no shortfall")
     return CoreVerdict(stable=True)
 
 
@@ -248,9 +315,7 @@ def ttg_payoff_membership(game: TTG, p: Sequence[Fraction]) -> CoreVerdict:
     """
     if len(p) != game.n:
         raise GameError(f"payoff vector of length {len(p)} for {game.n} agents")
-    profile = welfare.knapsack_profile(game)
-    table = min_payoff_table(game, p)
-    return _first_shortfall(game, p, table, profile.utilities[1:])
+    return _first_shortfall(game, p, welfare.knapsack_profile(game).steps)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +475,17 @@ def nonoverlapping_core_check(
         want = to_nonoverlapping(game, S)
         if have != want:
             raise GameError(
-                f"payoffs for block {sorted(S)} sum to {have}, block value is {want}"
+                f"payoffs for block {sorted(j + 1 for j in S)} sum to {have}, "
+                f"block value is {want}"
             )
-    table = min_payoff_table(game, p)
-    M, limit = welfare.scaled_total_weight(game)
+    M, _ = welfare.scaled_total_weight(game)
     # tasks are sorted by threshold and utility: the best single task a pooled
-    # weight completes is the last one whose threshold it meets
+    # weight completes is the last one whose threshold it meets, so the value
+    # rises exactly at the thresholds past 1
     thresholds = [int(t.threshold * M) for t in game.tasks]
     utilities = [ZERO] + [t.utility for t in game.tasks]
-    best_single = (utilities[bisect_right(thresholds, w)] for w in range(1, limit + 1))
-    return _first_shortfall(game, p, table, best_single)
+    first = utilities[bisect_right(thresholds, 1)]
+    rises = [k for k, T in enumerate(thresholds) if T > 1]
+    steps = ([1] + [thresholds[k] for k in rises],
+             [first] + [utilities[k + 1] for k in rises])
+    return _first_shortfall(game, p, steps)

@@ -28,7 +28,7 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzyCheckReport:
     """Outcome of a fuzzy stability check.
 

@@ -35,8 +35,9 @@ def q_str(x: Fraction) -> str:
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
-    """LCM of the denominators of ``values`` (1 for an empty iterable)."""
+    """LCM of the denominators of ``values`` (1 for an empty iterable);
+    ints and Fractions both carry ``denominator``."""
     denom = 1
     for v in values:
-        denom = lcm(denom, Fraction(v).denominator)
+        denom = lcm(denom, v.denominator)
     return denom

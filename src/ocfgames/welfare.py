@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import floor, lcm
 from typing import FrozenSet, Iterable, Optional, Sequence
 
@@ -70,7 +70,9 @@ class KnapsackProfile:
 
     ``utilities[w]`` is the best total utility of any multiset of task copies
     whose thresholds sum to at most ``w`` scaled units (``scale`` original
-    units per unit weight:  scaled = original * scale).
+    units per unit weight:  scaled = original * scale).  The welfare optimum
+    and the rises of the profile are computed once, on first use, and live
+    as long as the profile does (in the profile cache).
     """
 
     game: TTG
@@ -119,6 +121,38 @@ class KnapsackProfile:
                 raise AssertionError("profile table inconsistent")
         return tuple(sorted(chosen))
 
+    @cached_property
+    def steps(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+        """The weights ``w >= 1`` where the profile can change, and its values
+        there: ``w = 1`` and every ``w`` with ``U[w] > U[w - 1]``.  Between
+        two steps (and past the last) the profile is constant."""
+        U = self.utilities
+        weights = [1] + [w for w in range(2, len(U)) if U[w] > U[w - 1]]
+        return tuple(weights), tuple(U[w] for w in weights)
+
+    @cached_property
+    def optimum(self) -> tuple[Fraction, tuple[int, ...], CoalitionStructure]:
+        """What :func:`max_welfare_overlapping` returns for the profile's game."""
+        game = self.game
+        chosen = self.recover_tasks(self.limit)
+        counts = tuple(chosen.count(j) for j in range(len(game.tasks)))
+        total = game.total_weight()
+        # copies of one task share a single coalition object
+        per_task = {
+            j: PartialCoalition(
+                tuple(w * game.tasks[j].threshold / total for w in game.weights)
+            )
+            for j in set(chosen)
+        }
+        coalitions = [per_task[j] for j in chosen]
+        used = sum((game.tasks[j].threshold for j in chosen), ZERO)
+        leftover = total - used
+        if leftover > 0:
+            coalitions.append(
+                PartialCoalition(tuple(w * leftover / total for w in game.weights))
+            )
+        return self.utilities[self.limit], counts, CoalitionStructure(tuple(coalitions))
+
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def knapsack_profile(game: TTG) -> KnapsackProfile:
@@ -140,26 +174,9 @@ def canonical_structure(game: TTG) -> CoalitionStructure:
 
     One coalition per task copy in an optimal multiset, each funded
     proportionally to agent weight; unused weight is pooled into a single
-    zero-value coalition.
+    zero-value coalition.  The structure is built once per cached profile.
     """
-    profile = knapsack_profile(game)
-    chosen = profile.recover_tasks(profile.limit)
-    total = game.total_weight()
-    # copies of one task share a single coalition object
-    per_task = {
-        j: PartialCoalition(
-            tuple(w * game.tasks[j].threshold / total for w in game.weights)
-        )
-        for j in set(chosen)
-    }
-    coalitions = [per_task[j] for j in chosen]
-    used = sum((game.tasks[j].threshold for j in chosen), ZERO)
-    leftover = total - used
-    if leftover > 0:
-        coalitions.append(
-            PartialCoalition(tuple(w * leftover / total for w in game.weights))
-        )
-    return CoalitionStructure(tuple(coalitions))
+    return knapsack_profile(game).optimum[2]
 
 
 def max_welfare_overlapping(
@@ -169,11 +186,9 @@ def max_welfare_overlapping(
 
     Returns the value, per-task copy counts of a deterministic optimal task
     multiset, and the witness structure from :func:`canonical_structure`.
+    The answer is computed once per cached profile and shared by every call.
     """
-    profile = knapsack_profile(game)
-    chosen = profile.recover_tasks(profile.limit)
-    counts = tuple(chosen.count(j) for j in range(len(game.tasks)))
-    return profile.utilities[profile.limit], counts, canonical_structure(game)
+    return knapsack_profile(game).optimum
 
 
 def max_welfare_nonoverlapping(

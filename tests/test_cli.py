@@ -254,3 +254,13 @@ def test_fine_weight_past_the_dp_budget_exits_two(tmp_path, capsys, args):
                                 "tasks": [{"threshold": 1, "utility": 1}]}))
     assert cli.main(args + ["--game", str(game)]) == 2
     assert "table cells" in _one_line_error(capsys)
+
+
+def test_partition_payoff_error_numbers_agents_from_one(tmp_path, capsys):
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"agents": 3, "weights": [1, 1, 1],
+                                "tasks": [{"threshold": 1, "utility": 5}]}))
+    assert cli.main(["check-core", "--game", str(game), "--kind", "nonoverlapping",
+                     "--partition", "1|2,3", "--payoffs", "5,4,0"]) == 2
+    assert _one_line_error(capsys) == \
+        "error: payoffs for block [2, 3] sum to 4, block value is 5\n"

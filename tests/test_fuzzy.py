@@ -107,3 +107,11 @@ def test_witness_actually_earns_its_claimed_value():
             (r * pj for r, pj in zip(report.witness, p)), ZERO
         )
         assert report.witness_value > paid
+
+
+def test_report_keeps_no_instance_dict():
+    report = fuzzy.f_core_check(mirror(), (Q(10), Q(10)))
+    assert not hasattr(report, "__dict__")
+    assert report == fuzzy.FuzzyCheckReport(holds=True)
+    assert repr(report) == \
+        "FuzzyCheckReport(holds=True, witness=None, witness_value=None)"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,7 @@ from ocfgames.model import (
     validate_structure,
     value,
 )
+from ocfgames.rationals import common_denominator
 
 ZERO = Q(0)
 
@@ -150,3 +152,15 @@ def test_random_value_is_monotone_in_units(seed):
         smaller[j] -= 1
     assert g.value(smaller) <= g.value(units)
     assert g.value([ZERO] * g.n) == 0
+
+
+@given(st.lists(st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(max_denominator=60),
+), max_size=8))
+def test_common_denominator_is_the_lcm_of_denominators(values):
+    expected = 1
+    for v in values:
+        d = Q(v).denominator
+        expected = expected * d // gcd(expected, d)
+    assert common_denominator(values) == expected

@@ -84,6 +84,34 @@ def test_welfare_is_invariant_under_common_weight_scaling():
             welfare.max_welfare_overlapping(g)[0]
 
 
+def test_welfare_optimum_lives_with_the_cached_profile(monkeypatch):
+    recovered = []
+    recover = welfare.KnapsackProfile.recover_tasks
+
+    def counting(profile, w):
+        recovered.append(profile.game)
+        return recover(profile, w)
+
+    monkeypatch.setattr(welfare.KnapsackProfile, "recover_tasks", counting)
+    rng = random.Random(19)
+    for _ in range(30):
+        g = random_ttg(rng, max_total=10, max_tasks=3)
+        welfare.knapsack_profile.cache_clear()
+        first = welfare.max_welfare_overlapping(g)
+        assert welfare.canonical_structure(g) is welfare.max_welfare_overlapping(g)[2]
+        assert welfare.max_welfare_overlapping(g) is first
+        assert recovered == [g]  # once per profile
+        welfare.knapsack_profile.cache_clear()
+        fresh = welfare.max_welfare_overlapping(g)
+        assert recovered == [g, g]
+        assert fresh == first and fresh is not first
+        value, counts, cs = fresh
+        assert value == brute_best_utility(g, g.total_weight())
+        assert sum((k * t.utility for k, t in zip(counts, g.tasks)), ZERO) == value
+        assert validate_structure(g, cs) == []
+        recovered.clear()
+
+
 def test_vstar_on_a_ttg_is_the_pooled_optimum():
     g = corpus.two_company_game()  # weights 4, 6; tasks (5,15), (4,10)
     assert welfare.vstar(g, {0}) == 10
