@@ -43,13 +43,6 @@ ZERO = Q(0)
 # ---------------------------------------------------------------------------
 
 
-def _built_structures(ctx: _Search):
-    """Grid agreements over ctx's agent set: (vectors, pools) pairs from
-    :meth:`_Search.padded`, one per grid structure."""
-    caps = ctx.full_caps()
-    return [ctx.padded(structure, caps) for structure in ctx.new_structures(caps, ctx.cap)]
-
-
 def _to_outcome(game, ctx, vecs, shares) -> Outcome:
     coalitions = tuple(PartialCoalition(ctx.scaled_row(vec)) for vec in vecs)
     payoffs = tuple(tuple(share.get(j, ZERO) for j in range(game.n)) for share in shares)
@@ -82,7 +75,7 @@ def construct_core_element(
         prefix = tuple(sorted(ordering[: k + 1]))
         ctx = _Search(game, None, prefix, cap, grid)
         best = None
-        for vecs, pools in _built_structures(ctx):
+        for vecs, pools in ctx.padded_structures():
             sol = _divide(pools, floors, maximize=agent)
             if sol is None:
                 continue
@@ -149,7 +142,7 @@ def _premise_vectors(game, agents, cap, grid, singles):
     ctx = _Search(game, None, agents, cap, grid)
     seen = set()
     out = []
-    for _, pools in _built_structures(ctx):
+    for _, pools in ctx.padded_structures():
         choices = []
         for value, sup in pools:
             opts = [{j: value} for j in sup]
@@ -179,7 +172,7 @@ def _witness_exists(game, agents, floors, cap, grid, memo) -> bool:
     positive = {j: f for j, f in floors.items() if f > 0}
     found = not positive or any(
         _divide(pools, positive) is not None
-        for _, pools in _built_structures(_Search(game, None, agents, cap, grid))
+        for _, pools in _Search(game, None, agents, cap, grid).padded_structures()
     )
     memo[key] = found
     return found

@@ -17,6 +17,17 @@ the permitted number of coalitions, and every verdict records that
 resolution.  Untouched original coalitions keep their exact (possibly
 off-grid) contributions.  Among profitable plans, the one with the largest
 total deviator income is preferred (ties broken by enumeration order).
+
+Plans are scored in integers.  Contributions are counted in units of
+``1/M`` and incomes in units of ``1/D``, where ``D`` clears the
+denominators of every coalition value and every payoff of the outcome, so a
+plan's total income and the deviators' current payoff p(J) are compared as
+ints.  The new deviator-only structures of one game are enumerated once,
+with their integer values, ranked best-first and shared by every deviator
+set and outcome that asks for the same capacities; a search walks each
+ranking only while totals stay above p(J), so no plan that cannot gain is
+built.  ``Fraction``s appear only for the pools a division splits and in
+the plan that is returned.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from typing import FrozenSet, Iterable, Optional, Sequence
 
@@ -73,24 +85,38 @@ class DeviationResult:
     resolution: Optional[tuple] = None  # (cap, grid)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Candidate:
     """One fully specified plan skeleton awaiting a payoff division."""
 
+    score: int  # total deviator income before padding, in units of 1/D
     base: dict[int, Fraction]  # payoffs retained from intact coalitions
-    takes: tuple[tuple[Fraction, FrozenSet[int]], ...]  # claimed pools
+    takes: tuple[tuple[int, FrozenSet[int]], ...]  # claimed pools, in units of 1/D
     caps: tuple[int, ...]  # scaled spare capacity per deviator
-    structure: tuple  # ((vector, value), ...) new deviator coalitions
+    structure: tuple  # ((vector, value in units of 1/V), ...) new deviator coalitions
     kept: tuple[int, ...] = ()
     abandoned: tuple[int, ...] = ()
     modified: tuple = ()  # (coalition index, vector over sorted(J))
 
-    def total(self) -> Fraction:
-        return (
-            sum(self.base.values(), ZERO)
-            + sum((t for t, _ in self.takes), ZERO)
-            + sum((v for _, v in self.structure), ZERO)
-        )
+
+@dataclass(frozen=True, slots=True)
+class _Scaling:
+    """The integer view of one (game, outcome, grid) that every deviator set
+    shares; see :func:`_scaling`."""
+
+    M: int  # contributions are counted in units of 1/M
+    g: int  # the grid step, M // grid
+    w: tuple[int, ...]  # scaled weights
+    units: tuple[tuple[int, ...], ...]  # scaled contribution rows
+    supports: tuple[FrozenSet[int], ...]
+    p: tuple[Fraction, ...]  # payoff vector (zeros without an outcome)
+    V: int  # LCD of the task utilities or rule values: V * value is an int
+    # a TTG's tasks as (threshold * M, utility * V), by increasing threshold;
+    # None for a rule-based game
+    levels: Optional[tuple[tuple[int, int], ...]]
+    D: int  # lcm of V and the LCD of the payoffs: incomes in units of 1/D
+    pD: tuple[int, ...]  # D * p
+    payoffs: tuple[tuple[int, ...], ...]  # D * the outcome's payoff rows
 
 
 # The last per-outcome scaling computed, as one tuple (game, outcome, grid,
@@ -100,15 +126,13 @@ class _Candidate:
 _last_scaling: Optional[tuple] = None
 
 
-def _scaling(game: Game, outcome: Optional[Outcome], grid: int) -> tuple:
+def _scaling(game: Game, outcome: Optional[Outcome], grid: int) -> _Scaling:
     """The scaling every deviator set of one (game, outcome, grid) shares.
 
-    Returns ``(M, g, w, units, supports, p)``: the scale ``M`` (a multiple of
-    ``grid`` making weights, thresholds or minima and contributions
-    integral), the grid step ``g = M // grid``, the scaled weights, the
-    scaled contribution rows, the coalition supports and the payoff vector
-    (zeros without an outcome).  The last answer is memoized, keyed by the
-    identity of ``game`` and ``outcome`` and by ``grid``.
+    ``M`` is a multiple of ``grid`` making weights, thresholds or minima and
+    contributions integral; ``D`` makes every coalition value and every
+    payoff integral.  The last answer is memoized, keyed by the identity of
+    ``game`` and ``outcome`` and by ``grid``.
     """
     global _last_scaling
     memo = _last_scaling
@@ -116,23 +140,70 @@ def _scaling(game: Game, outcome: Optional[Outcome], grid: int) -> tuple:
         return memo[3]
     if isinstance(game, TTG):
         data = [t.threshold for t in game.tasks]
+        V = common_denominator(t.utility for t in game.tasks)
     else:
         data = [req.minimum for rule in game.rules for req in rule.requirements]
+        V = common_denominator(rule.value for rule in game.rules)
     coalitions = () if outcome is None else outcome.structure.coalitions
+    rows = () if outcome is None else outcome.payoffs
     M0 = common_denominator(
         list(game.weights) + data + [u for c in coalitions for u in c.units]
     )
     M = lcm(M0, grid)
-    scaling = (
-        M,
-        M // grid,
-        tuple(int(x * M) for x in game.weights),
-        tuple(tuple(int(u * M) for u in c.units) for c in coalitions),
-        tuple(c.support for c in coalitions),
-        payoff_vector(outcome) if outcome is not None else (ZERO,) * game.n,
+    D = lcm(V, common_denominator(x for row in rows for x in row))
+    p = payoff_vector(outcome) if rows else (ZERO,) * game.n
+    scaling = _Scaling(
+        M=M,
+        g=M // grid,
+        w=tuple(_times(x, M) for x in game.weights),
+        units=tuple(tuple(_times(u, M) for u in c.units) for c in coalitions),
+        supports=tuple(c.support for c in coalitions),
+        p=p,
+        V=V,
+        levels=tuple(
+            (_times(t.threshold, M), _times(t.utility, V)) for t in game.tasks
+        ) if isinstance(game, TTG) else None,
+        D=D,
+        pD=tuple(_times(x, D) for x in p),
+        payoffs=tuple(tuple(_times(x, D) for x in row) for row in rows),
     )
     _last_scaling = (game, outcome, grid, scaling)
     return scaling
+
+
+def _times(x: Fraction, scale: int) -> int:
+    """``x * scale`` for a ``scale`` that is a multiple of x's denominator."""
+    return x.numerator * (scale // x.denominator)
+
+
+# The enumeration memo of the last game searched, as one tuple (game,
+# entries).  Enumerations are keyed by everything they read besides the
+# game: the scale and grid step, the deviators, their private coalition
+# vectors (``useful_vectors`` adds them), the capacities and the budget.
+# The memo also holds the game's row entries by scale and its standalone
+# TTG structures by deviators.  Entries past the budget clear the memo.
+_last_enumeration: Optional[tuple] = None
+ENUMERATION_MEMO_ENTRIES = 4096
+
+
+def _enumeration_memo(game: Game) -> dict:
+    global _last_enumeration
+    memo = _last_enumeration
+    if memo is None or memo[0] is not game:
+        memo = _last_enumeration = (game, {})
+    return memo[1]
+
+
+@lru_cache(maxsize=16)
+def _resolution(cap: Optional[int], grid: int) -> tuple:
+    """The one ``(cap, grid)`` tuple every result at that resolution holds."""
+    return (cap, grid)
+
+
+@lru_cache(maxsize=16)
+def _stable_at(cap: Optional[int], grid: int) -> CoreVerdict:
+    """The one (immutable) stable membership verdict at ``(cap, grid)``."""
+    return CoreVerdict(stable=True, resolution=_resolution(cap, grid))
 
 
 class _Search:
@@ -151,16 +222,27 @@ class _Search:
             raise GameError(f"unknown deviators in {sorted(self.J)}")
         self.Js = tuple(sorted(self.J))
         self.cap = cap
-        self.grid = grid
-        self.M, self.g, self.w, self.units, supports, self.p = _scaling(game, outcome, grid)
-        self.pJ = {j: self.p[j] for j in self.Js}
-        self.mixed = [i for i, sup in enumerate(supports) if not sup <= self.J]
-        self.dev_only = [i for i, sup in enumerate(supports) if sup <= self.J]
-        self._structure_memo: dict = {}
-        self._vector_memo: dict = {}
+        s = self.scaling = _scaling(game, outcome, grid)
+        self.M, self.g, self.w, self.units = s.M, s.g, s.w, s.units
+        self.pJ = {j: s.p[j] for j in self.Js}
+        self.target = sum(s.pD[j] for j in self.Js)  # D * p(J)
+        self.mixed = [i for i, sup in enumerate(s.supports) if not sup <= self.J]
+        self.dev_only = [i for i, sup in enumerate(s.supports) if sup <= self.J]
+        private = {tuple(s.units[i][j] for j in self.Js) for i in self.dev_only}
+        self._memo = _enumeration_memo(game)
+        self._key = (s.M, s.g, self.Js, tuple(sorted(private)))
+        # Q(u, M) by u, for the rows this game's searches build at scale M,
+        # so that equal entries of the plans they return are one object
+        self._fractions = self._memo.setdefault(("fractions", s.M), {})
 
     def full_caps(self) -> tuple[int, ...]:
         return tuple(self.w[j] for j in self.Js)
+
+    def _remember(self, key, value):
+        if len(self._memo) >= ENUMERATION_MEMO_ENTRIES:
+            self._memo.clear()
+        self._memo[key] = value
+        return value
 
     # -- new deviator-only coalitions ------------------------------------
 
@@ -169,46 +251,65 @@ class _Search:
     ) -> list[Fraction]:
         """The full-width row of ``vec`` (over sorted(J), in units of 1/M):
         ``base``, zero by default, with the deviators' entries replaced."""
-        if base is None:
-            base = (ZERO,) * self.game.n
-        M = self.M
-        return _embed([Q(u, M) for u in vec], self.Js, base)
+        row = [ZERO] * self.game.n if base is None else list(base)
+        table = self._fractions
+        for j, u in zip(self.Js, vec):
+            q = table.get(u)
+            if q is None:
+                q = table[u] = Q(u, self.M)
+            row[j] = q
+        return row
 
-    def value_of_scaled(self, vec: Sequence[int]) -> Fraction:
-        """Game value of a deviator-only coalition given over sorted(J)."""
-        return self.game.value(self.scaled_row(vec))
+    def scaled_value(
+        self, vec: Sequence[int], base: Optional[Sequence[Fraction]] = None,
+        pooled: int = 0,
+    ) -> int:
+        """V times the game value of :meth:`scaled_row` ``(vec, base)``;
+        ``pooled`` is the weight of ``base`` in units of 1/M.  A TTG's value
+        is read from its integer task levels."""
+        levels = self.scaling.levels
+        if levels is None:
+            return int(self.game.value(self.scaled_row(vec, base)) * self.scaling.V)
+        total = pooled + sum(vec)
+        best = 0
+        for threshold, utility in levels:  # TTG.best_utility, in integers
+            if threshold > total:
+                break
+            best = utility
+        return best
 
-    def useful_vectors(self, caps: tuple[int, ...]) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Positive-value deviator coalition vectors worth considering.
+    def useful_vectors(self, caps: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        """Positive-value deviator coalition vectors worth considering, with
+        their values in units of 1/V.
 
         One family of minimal grid vectors per task/rule value level, plus
         the deviators' original private coalitions (which may be off-grid).
         """
-        if caps in self._vector_memo:
-            return self._vector_memo[caps]
-        found: dict[tuple[int, ...], Fraction] = {}
-        if isinstance(self.game, TTG):
-            for t in self.game.tasks:
-                T = int(t.threshold * self.M)
+        key = ("vectors", self._key, caps)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        found: dict[tuple[int, ...], int] = {}
+        levels = self.scaling.levels
+        if levels is not None:
+            for T, _ in levels:
                 need = -(-T // self.g) * self.g
                 for comp in _compositions(need, caps, self.g):
-                    v = self.value_of_scaled(comp)
+                    v = self.scaled_value(comp)
                     if v > 0:
-                        found[comp] = max(found.get(comp, ZERO), v)
+                        found[comp] = v
         else:
             for vec in self._rule_vectors(caps):
-                v = self.value_of_scaled(vec)
+                v = self.scaled_value(vec)
                 if v > 0:
                     found[vec] = v
-        for i in self.dev_only:
-            vec = tuple(self.units[i][j] for j in self.Js)
+        for vec in self._key[3]:
             if any(vec) and all(u <= c for u, c in zip(vec, caps)):
-                v = self.value_of_scaled(vec)
+                v = self.scaled_value(vec)
                 if v > 0:
                     found.setdefault(vec, v)
         out = sorted(found.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        self._vector_memo[caps] = out
-        return out
+        return self._remember(key, out)
 
     def _rule_vectors(self, caps: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         """Minimal grid vectors satisfying some rule using deviators only."""
@@ -261,14 +362,24 @@ class _Search:
             if rule.satisfied_by(self.scaled_row(vec)):
                 yield vec
 
-    def new_structures(
-        self, caps: tuple[int, ...], budget: Optional[int]
-    ) -> list[tuple[tuple[tuple[int, ...], Fraction], ...]]:
-        """All multisets of useful vectors fitting the capacities and budget."""
-        key = (caps, budget)
-        if key in self._structure_memo:
-            return self._structure_memo[key]
+    def new_structures(self, caps: tuple[int, ...], budget: Optional[int]) -> tuple[list, list]:
+        """All multisets of useful vectors fitting the capacities and budget.
+
+        Returns the structures in generation order, and the pairs (total
+        value in units of 1/V, structure) by decreasing total, ties in
+        generation order.
+        """
+        key = ("structures", self._key, caps, budget)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         vectors = self.useful_vectors(caps)
+        if budget is None and vectors and not any(vectors[0][0]):
+            # the zero vector sorts first; without a budget it repeats forever
+            raise GameError(
+                "a rule with positive value and no weight demand makes "
+                "deviator structures unbounded; give a cap"
+            )
         out: list = []
 
         def rec(start: int, left: tuple[int, ...], budget_left, chosen):
@@ -288,8 +399,48 @@ class _Search:
                     chosen.pop()
 
         rec(0, caps, budget, [])
-        self._structure_memo[key] = out
-        return out
+        ranked = sorted(
+            ((sum(val for _, val in structure), structure) for structure in out),
+            key=lambda pair: -pair[0],
+        )
+        return self._remember(key, (out, ranked))
+
+    def ranked(self, caps: tuple[int, ...], budget: Optional[int], income: int):
+        """The structures that lift ``income`` (in units of 1/D) above
+        D * p(J), best first: (score, structure) pairs."""
+        scale = self.scaling.D // self.scaling.V
+        for total, structure in self.new_structures(caps, budget)[1]:
+            score = income + scale * total
+            if score <= self.target:
+                return
+            yield score, structure
+
+    def standalone_structure(self) -> CoalitionStructure:
+        """A TTG's canonical welfare-optimal structure of J on its own, as
+        full-width rows (every deviator in every coalition)."""
+        key = ("standalone", self.Js)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        game = self.game
+        sub = TTG(tuple(game.weights[j] for j in self.Js), game.tasks)
+        return self._remember(key, CoalitionStructure(tuple(
+            PartialCoalition(_embed(c.units, self.Js, (ZERO,) * game.n))
+            for c in welfare.canonical_structure(sub).coalitions
+        )))
+
+    def padded_structures(self) -> list:
+        """:meth:`padded` of every structure at full capacity and budget
+        ``cap``, in generation order: the agreements among J."""
+        key = ("padded", self._key, self.cap)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        caps = self.full_caps()
+        return self._remember(key, [
+            self.padded(structure, caps)
+            for structure in self.new_structures(caps, self.cap)[0]
+        ])
 
     # -- scoring ----------------------------------------------------------
 
@@ -317,23 +468,23 @@ class _Search:
                 if j not in covered and left[k] >= self.g:
                     vecs[0][k] += self.g
         vecs = [tuple(vec) for vec in vecs]
-        return vecs, [(self.value_of_scaled(vec), self.supporters(vec)) for vec in vecs]
+        V = self.scaling.V
+        return vecs, [(Q(self.scaled_value(vec), V), self.supporters(vec)) for vec in vecs]
 
     def try_candidate(self, cand: _Candidate):
         """Find a payoff division making every deviator strictly better off.
 
         Pads the candidate's new coalitions (:meth:`padded`), then asks
         :func:`_divide_strictly` for the split with the largest common gain.
-        Returns (new vectors, per-pool share maps) or None.
+        Returns (new vectors, per-pool share maps) or None.  Padding never
+        lowers a value, so the padded plan still totals above p(J).
         """
-        claimed = [(amount, tuple(sorted(sup))) for amount, sup in cand.takes if amount > 0]
+        D = self.scaling.D
+        claimed = [(Q(amount, D), tuple(sorted(sup))) for amount, sup in cand.takes]
         new_vecs, built = self.padded(
             cand.structure, cand.caps, (j for _, sup in claimed for j in sup)
         )
         pools = claimed + built
-        total = sum((a for a, _ in pools), ZERO) + sum(cand.base.values(), ZERO)
-        if total <= sum(self.pJ.values(), ZERO):
-            return None
         for j in self.Js:
             if cand.base.get(j, ZERO) <= self.pJ[j] and not any(
                 j in sup for _, sup in pools
@@ -394,13 +545,18 @@ def _divide_strictly(pools, floors, maximize=None):
     maximizes the margin, or agent ``maximize``'s total when given.  Returns
     (margin, per-pool share maps), or None when no split meets the floors,
     without solving when an agent with a positive floor is in no pool.
-    Without pools the answer is (0, []).
+    Without pools the answer is (0, []).  The one question answered without
+    the program is :func:`_equal_margin_split`'s.
     """
     supported = {j for _, sup in pools for j in sup}
     if any(f > 0 and j not in supported for j, f in floors.items()):
         return None
     if not pools:
         return ZERO, []
+    if maximize is None and len(pools) == 1:
+        split = _equal_margin_split(pools[0], floors)
+        if split is not None:
+            return split
     builder = lp.ProgramBuilder()
     for c, (amount, sup) in enumerate(pools):
         builder.add([(c, j) for j in sup], "==", amount)
@@ -421,16 +577,37 @@ def _divide_strictly(pools, floors, maximize=None):
     return x["eps"], [{j: x[c, j] for j in sup} for c, (_, sup) in enumerate(pools)]
 
 
+def _equal_margin_split(pool, floors):
+    """The margin-maximizing split of one pool of amount A among exactly the
+    k floored agents, or None when this closed form does not apply.
+
+    Every share is at least its floor plus the margin and the shares sum to
+    A, so the margin is at most e = (A - sum of floors) / k, and e is reached
+    only by paying each agent its floor plus e.  That is the unique optimum
+    of the division program when e >= 0 and every floor plus e is >= 0 (a
+    share cannot be negative); otherwise the program decides.
+    """
+    amount, sup = pool
+    if floors.keys() != set(sup):
+        return None
+    eps = (amount - sum(floors.values(), ZERO)) / len(sup)
+    if eps < 0:
+        return None
+    shares = {}
+    for j in sup:
+        share = floors[j] + eps
+        if share < 0:
+            return None
+        shares[j] = share
+    if sum(shares.values(), ZERO) != amount:
+        raise ArithmeticError(f"closed-form division of {amount} does not add up: {shares}")
+    return eps, [shares]
+
+
 def _try_best_first(ctx: _Search, candidates: list[_Candidate], resolution):
-    """Try candidates in decreasing order of total deviator income."""
-    target = sum(ctx.pJ.values(), ZERO)
-    scored = [
-        (total, idx, cand)
-        for idx, cand in enumerate(candidates)
-        if (total := cand.total()) > target
-    ]
-    scored.sort(key=lambda s: (-s[0], s[1]))
-    for _, _, cand in scored:
+    """Try candidates in decreasing order of total deviator income, ties in
+    the order they were generated; every candidate scores above p(J)."""
+    for cand in sorted(candidates, key=lambda cand: -cand.score):
         hit = ctx.try_candidate(cand)
         if hit is not None:
             return _package(ctx, cand, hit, resolution)
@@ -440,8 +617,10 @@ def _try_best_first(ctx: _Search, candidates: list[_Candidate], resolution):
 def _package(ctx: _Search, cand: _Candidate, hit, resolution) -> DeviationResult:
     new_vecs, division = hit
     n = ctx.game.n
+    same: dict[Fraction, Fraction] = {}
+    keep = lambda x: same.setdefault(x, x)  # equal Fractions of the result: one object
     payoff_rows = tuple(
-        tuple(shares.get(j, ZERO) for j in range(n)) for shares in division
+        tuple(keep(shares.get(j, ZERO)) for j in range(n)) for shares in division
     )
     # non-deviators keep the outcome's own contribution entries
     original = ctx.outcome.structure.coalitions
@@ -462,7 +641,7 @@ def _package(ctx: _Search, cand: _Candidate, hit, resolution) -> DeviationResult
         earned = cand.base.get(j, ZERO) + sum(
             (shares.get(j, ZERO) for shares in division), ZERO
         )
-        gains[j] = earned - ctx.pJ[j]
+        gains[j] = keep(earned - ctx.pJ[j])
     if any(gain <= 0 for gain in gains.values()):
         raise AssertionError(f"strict division left a deviator without gain: {gains}")
     return DeviationResult(
@@ -490,18 +669,14 @@ def find_c_deviation(
     always exists.  Rule-based games use the generic grid search.
     """
     ctx = _Search(game, outcome, J, cap, grid)
-    resolution = (cap, grid)
+    resolution = _resolution(cap, grid)
     everything = tuple(range(len(outcome.structure)))
     if isinstance(game, TTG):
         best = welfare.vstar(game, ctx.J)
         total_p = sum(ctx.pJ.values(), ZERO)
         if best <= total_p:
             return DeviationResult(found=False, resolution=resolution)
-        sub = TTG(tuple(game.weights[j] for j in ctx.Js), game.tasks)
-        coalitions = tuple(
-            PartialCoalition(_embed(c.units, ctx.Js, (ZERO,) * game.n))
-            for c in welfare.canonical_structure(sub).coalitions
-        )
+        structure = ctx.standalone_structure()
         surplus = (best - total_p) / len(ctx.Js)
         target = {j: ctx.pJ[j] + surplus for j in ctx.Js}
         rows = tuple(
@@ -509,14 +684,14 @@ def find_c_deviation(
                 target[j] * game.value(c.units) / best if j in ctx.J else ZERO
                 for j in range(game.n)
             )
-            for c in coalitions
+            for c in structure.coalitions
         )
         plan = DeviationPlan(
             deviators=ctx.J,
             kept=(),
             abandoned=everything,
             modified=(),
-            new_structure=CoalitionStructure(coalitions),
+            new_structure=structure,
         )
         return DeviationResult(
             found=True, plan=plan, payoffs=rows,
@@ -524,8 +699,8 @@ def find_c_deviation(
         )
     caps = ctx.full_caps()
     candidates = [
-        _Candidate({}, (), caps, structure, abandoned=everything)
-        for structure in ctx.new_structures(caps, cap)
+        _Candidate(score, {}, (), caps, structure, abandoned=everything)
+        for score, structure in ctx.ranked(caps, cap, 0)
     ]
     return _try_best_first(ctx, candidates, resolution)
 
@@ -542,28 +717,31 @@ def find_r_deviation(
     always dissolve into the rebuilding budget.
     """
     ctx = _Search(game, outcome, J, cap, grid)
-    resolution = (cap, grid)
+    resolution = _resolution(cap, grid)
     touched = [i for i in ctx.mixed if any(ctx.units[i][j] for j in ctx.Js)]
     forced_keep = [i for i in ctx.mixed if i not in touched]
     budget = None if cap is None else max(0, cap - len(ctx.mixed))
+    payoffs = ctx.scaling.payoffs
     candidates = []
     for k in range(len(touched) + 1):
         for drop in itertools.combinations(touched, k):
             kept = forced_keep + [i for i in touched if i not in drop]
-            base = {
-                j: sum((ctx.outcome.payoffs[i][j] for i in kept), ZERO)
-                for j in ctx.Js
-            }
             caps = tuple(
                 ctx.w[j] - sum(ctx.units[i][j] for i in kept) for j in ctx.Js
             )
-            for structure in ctx.new_structures(caps, budget):
+            income = sum(payoffs[i][j] for i in kept for j in ctx.Js)
+            base = None
+            for score, structure in ctx.ranked(caps, budget, income):
+                if base is None:
+                    base = {
+                        j: sum((outcome.payoffs[i][j] for i in kept), ZERO)
+                        for j in ctx.Js
+                    }
+                    kept_t = tuple(sorted(kept))
+                    abandoned = tuple(sorted(set(drop) | set(ctx.dev_only)))
                 candidates.append(
-                    _Candidate(
-                        base, (), caps, structure,
-                        kept=tuple(sorted(kept)),
-                        abandoned=tuple(sorted(set(drop) | set(ctx.dev_only))),
-                    )
+                    _Candidate(score, base, (), caps, structure,
+                               kept=kept_t, abandoned=abandoned)
                 )
     return _try_best_first(ctx, candidates, resolution)
 
@@ -581,82 +759,79 @@ def find_o_deviation(
     deviator-only coalitions.
     """
     ctx = _Search(game, outcome, J, cap, grid)
-    resolution = (cap, grid)
+    resolution = _resolution(cap, grid)
     budget = None if cap is None else max(0, cap - len(ctx.mixed))
     options = [_o_mods(ctx, i) for i in ctx.mixed]
+    full = ctx.full_caps()
     candidates = []
     for combo in itertools.product(*options):
-        caps = [ctx.w[j] for j in ctx.Js]
-        ok = True
-        takes = []
-        kept, modified, abandoned = [], [], list(ctx.dev_only)
-        for i, (vec, take) in zip(ctx.mixed, combo):
+        left = list(full)
+        for vec, _ in combo:
             for k, u in enumerate(vec):
-                caps[k] -= u
-                if caps[k] < 0:
-                    ok = False
-            if not ok:
-                break
-            original = tuple(ctx.units[i][j] for j in ctx.Js)
-            if vec == original:
-                kept.append(i)
-            elif not any(vec):
-                abandoned.append(i)
-            else:
-                modified.append((i, vec))
-            if take > 0:
-                takes.append(
-                    (take, frozenset(j for j, u in zip(ctx.Js, vec) if u))
-                )
-        if not ok:
+                left[k] -= u
+        if any(c < 0 for c in left):
             continue
-        caps_t = tuple(caps)
-        for structure in ctx.new_structures(caps_t, budget):
+        caps = tuple(left)
+        plan = None
+        for score, structure in ctx.ranked(caps, budget, sum(t for _, t in combo)):
+            if plan is None:
+                plan = _o_plan(ctx, combo)
+            takes, kept, abandoned, modified = plan
             candidates.append(
-                _Candidate(
-                    {}, tuple(takes), caps_t, structure,
-                    kept=tuple(kept),
-                    abandoned=tuple(sorted(abandoned)),
-                    modified=tuple(modified),
-                )
+                _Candidate(score, {}, takes, caps, structure,
+                           kept=kept, abandoned=abandoned, modified=modified)
             )
     return _try_best_first(ctx, candidates, resolution)
 
 
-def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], Fraction]]:
+def _o_plan(ctx: _Search, combo) -> tuple:
+    """(takes, kept, abandoned, modified) of one choice per shared coalition."""
+    takes, kept, modified, abandoned = [], [], [], list(ctx.dev_only)
+    for i, (vec, take) in zip(ctx.mixed, combo):
+        if vec == tuple(ctx.units[i][j] for j in ctx.Js):
+            kept.append(i)
+        elif not any(vec):
+            abandoned.append(i)
+        else:
+            modified.append((i, vec))
+        if take > 0:
+            takes.append((take, frozenset(ctx.supporters(vec))))
+    return tuple(takes), tuple(kept), tuple(sorted(abandoned)), tuple(modified)
+
+
+def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], int]]:
     """Candidate replacement vectors for the deviators' part of coalition i.
 
-    Returns (vector over sorted(J), collective take) pairs: abandonment,
-    the unchanged vector, and minimal grid top-ups per value level.
+    Returns (vector over sorted(J), collective take in units of 1/D) pairs:
+    abandonment, the unchanged vector, and minimal grid top-ups per value
+    level.
     """
-    game = ctx.game
+    s = ctx.scaling
     nondev_row = [
-        Q(u, ctx.M) if j not in ctx.J else ZERO
-        for j, u in enumerate(ctx.units[i])
+        ZERO if j in ctx.J else u
+        for j, u in enumerate(ctx.outcome.structure.coalitions[i].units)
     ]
-    nondev_x = sum(
-        (ctx.outcome.payoffs[i][j] for j in range(game.n) if j not in ctx.J), ZERO
-    )
+    pooled = sum(u for j, u in enumerate(ctx.units[i]) if j not in ctx.J)
+    nondev_x = sum(x for j, x in enumerate(s.payoffs[i]) if j not in ctx.J)
+    scale = s.D // s.V
     caps = ctx.full_caps()
 
-    def take_of(vec: Sequence[int]) -> Fraction:
+    def take_of(vec: Sequence[int]) -> int:
         if not any(vec):
-            return ZERO
-        return max(game.value(ctx.scaled_row(vec, nondev_row)) - nondev_x, ZERO)
+            return 0
+        return max(ctx.scaled_value(vec, nondev_row, pooled) * scale - nondev_x, 0)
 
-    mods: dict[tuple[int, ...], Fraction] = {}
     zero = (0,) * len(ctx.Js)
-    mods[zero] = ZERO
+    mods: dict[tuple[int, ...], int] = {zero: 0}
     unchanged = tuple(ctx.units[i][j] for j in ctx.Js)
     if any(unchanged):
         t = take_of(unchanged)
         if t > 0:
             mods[unchanged] = t
-    if isinstance(game, TTG):
-        pooled = sum(ctx.units[i][j] for j in range(game.n) if j not in ctx.J)
+    if s.levels is not None:
         needs = []
-        for task in game.tasks:
-            need = max(0, int(task.threshold * ctx.M) - pooled)
+        for T, _ in s.levels:
+            need = max(0, T - pooled)
             # at least a token unit, to be allowed a share
             needs.append(-(-need // ctx.g) * ctx.g or ctx.g)
         vecs = itertools.chain.from_iterable(
@@ -667,7 +842,7 @@ def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], Fraction]]:
     for vec in vecs:
         t = take_of(vec)
         if t > 0:
-            mods[vec] = max(mods.get(vec, ZERO), t)
+            mods[vec] = t
     return sorted(mods.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
 
@@ -691,12 +866,23 @@ def core_membership(
         raise GameError(f"unknown core kind {kind!r}")
     if game.n > SUBSET_GUARD:
         raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
+    if grid < 1:
+        raise GameError("grid denominator must be >= 1")
     find = FINDERS[kind]
-    p = payoff_vector(outcome)
+    scaling = _scaling(game, outcome, grid)
+    p = scaling.p
+    # on a TTG a set c-deviates iff vstar(S) > p(S), so only the first such
+    # set is searched, for its witness plan
+    exact_c = kind == "c" and isinstance(game, TTG)
     for S in _subsets(game.n):
+        if exact_c:
+            v = welfare.vstar(game, S)
+            if v.numerator * scaling.D <= sum(scaling.pD[j] for j in S) * v.denominator:
+                continue
         result = find(game, outcome, S, cap=cap, grid=grid)
         if result.found:
-            gains_total = sum(result.gains.values(), ZERO)
+            gains = list(result.gains.values())
+            gains_total = sum(gains[1:], gains[0])  # a lone gain is the total
             return CoreVerdict(
                 stable=False,
                 witness=result.plan.deviators,
@@ -705,4 +891,4 @@ def core_membership(
                 resolution=result.resolution,
                 deviation=result,
             )
-    return CoreVerdict(stable=True, resolution=(cap, grid))
+    return _stable_at(cap, grid)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
+from ocfgames.model import GameError
 from ocfgames.rationals import Q
 
 ZERO = Q(0)
@@ -384,6 +385,7 @@ def solve_with_separation(
 ) -> tuple[LPResult, LinearProgram]:
     """Constraint generation: solve, ask the oracle for a violated constraint,
     add it, repeat until the oracle is satisfied or the program is infeasible.
+    Raises :class:`GameError` after ``SEPARATION_ROUNDS`` rounds.
     """
     program = base
     seen = set(program.constraints)
@@ -403,4 +405,6 @@ def solve_with_separation(
             program.objective,
             program.free,
         )
-    raise RuntimeError("separation did not converge")
+    raise GameError(
+        f"constraint generation did not converge in {SEPARATION_ROUNDS} rounds"
+    )

@@ -306,7 +306,7 @@ def validate_structure(game: Game, cs: CoalitionStructure) -> list[str]:
         total = cs.agent_total(j)
         if total > game.weights[j]:
             problems.append(
-                f"agent {j} over capacity by {total - game.weights[j]}"
+                f"agent {j + 1} over capacity by {total - game.weights[j]}"
             )
     return problems
 
@@ -328,9 +328,9 @@ def validate_outcome(
             problems.append(f"coalition {i}: payoffs sum to {sum(row, ZERO)}, value is {v}")
         for j, x in enumerate(row):
             if c.units[j] == 0 and x != 0:
-                problems.append(f"coalition {i}: non-contributor {j} paid {x}")
+                problems.append(f"coalition {i}: non-contributor {j + 1} paid {x}")
             if x < 0 and not outcome.allow_negative:
-                problems.append(f"coalition {i}: negative payoff {x} to agent {j}")
+                problems.append(f"coalition {i}: negative payoff {x} to agent {j + 1}")
     if not individual_rationality:
         return problems
     p = payoff_vector(outcome) if outcome.payoffs else (ZERO,) * game.n
@@ -338,7 +338,7 @@ def validate_outcome(
         floor = welfare.vstar(game, frozenset([j]))
         if p[j] < floor:
             problems.append(
-                f"agent {j} paid {p[j]} in total, can get {floor} alone"
+                f"agent {j + 1} paid {p[j]} in total, can get {floor} alone"
             )
     return problems
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io as io_module
 import json
+import os
+import tempfile
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from ocfgames import cli, corpus, io
-from ocfgames.model import CoalitionStructure, Outcome, PartialCoalition
+from ocfgames import cli, corpus, io, lp
+from ocfgames.model import CoalitionStructure, Outcome, PartialCoalition, validate_outcome
 
 ZERO = Q(0)
 
@@ -264,3 +269,228 @@ def test_partition_payoff_error_numbers_agents_from_one(tmp_path, capsys):
                      "--partition", "1|2,3", "--payoffs", "5,4,0"]) == 2
     assert _one_line_error(capsys) == \
         "error: payoffs for block [2, 3] sum to 4, block value is 5\n"
+
+
+def test_validation_messages_number_agents_from_one(company, tmp_path, capsys):
+    game, _, _ = company  # weights (4, 6), tasks (5, 15), (4, 10)
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps({"structure": [[40, 60], [40, 60]],
+                                     "payoffs": [[0, 0], [0, 0]]}))
+    assert cli.main(["balanced", "--game", game,
+                     "--structure", str(structure)]) == 2
+    assert _one_line_error(capsys) == ("error: invalid structure: agent 1 over "
+                                       "capacity by 76; agent 2 over capacity by 114\n")
+    outcome = tmp_path / "o.json"
+    outcome.write_text(json.dumps({"structure": [[0, 4]], "payoffs": [[1, 9]]}))
+    assert cli.main(["deviate", "--game", game, "--outcome", str(outcome),
+                     "--kind", "c", "--set", "1"]) == 2
+    assert _one_line_error(capsys) == "error: coalition 0: non-contributor 1 paid 1\n"
+    g = io.load_game(game)
+    cs = CoalitionStructure((PartialCoalition((Q(4), Q(1))),))
+    assert validate_outcome(g, Outcome(cs, ((Q(-1), Q(16)),))) == [
+        "coalition 0: negative payoff -1 to agent 1",
+        "agent 1 paid -1 in total, can get 10 alone",
+    ]
+
+
+def test_stabilize_exits_two_when_constraint_generation_runs_out(
+    company, monkeypatch, capsys
+):
+    game, _, _ = company  # its stable outcome takes two separation rounds
+    monkeypatch.setattr(lp, "SEPARATION_ROUNDS", 1)
+    assert cli.main(["stabilize", "--game", game]) == 2
+    assert _one_line_error(capsys) == \
+        "error: constraint generation did not converge in 1 rounds\n"
+
+
+# -- fuzzing: whatever the arguments and files, one of the three exit codes
+# and never a traceback
+
+_NUMBERS = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.sampled_from(["1/2", "7/3", "-1", "0", "x", "1.5", "", "1/0"]),
+    st.floats(min_value=-2, max_value=9, allow_nan=False),
+    st.none(), st.booleans(), st.just([]), st.just({}),
+)
+
+
+def _small(numbers, max_size=4):
+    return st.lists(numbers, min_size=0, max_size=max_size)
+
+
+_GAME_DOCS = st.one_of(
+    st.builds(
+        lambda n, weights, tasks: {"agents": n, "weights": weights, "tasks": tasks},
+        st.integers(min_value=-1, max_value=3),
+        _small(st.one_of(st.integers(min_value=1, max_value=4), _NUMBERS), 3),
+        _small(st.fixed_dictionaries(
+            {"threshold": st.one_of(st.integers(min_value=0, max_value=8), _NUMBERS),
+             "utility": st.one_of(st.integers(min_value=0, max_value=20), _NUMBERS)}
+        ), 2),
+    ),
+    st.builds(
+        lambda n, weights, rules: {"agents": n, "weights": weights, "rules": rules},
+        st.integers(min_value=1, max_value=3),
+        _small(st.integers(min_value=1, max_value=4), 3),
+        _small(st.fixed_dictionaries({
+            "requirements": _small(st.fixed_dictionaries({
+                "agents": _small(st.one_of(st.integers(min_value=0, max_value=4),
+                                           _NUMBERS), 3),
+                "min": st.one_of(st.integers(min_value=0, max_value=5), _NUMBERS),
+            }), 2),
+            "value": st.one_of(st.integers(min_value=0, max_value=20), _NUMBERS),
+        }), 2),
+    ),
+    st.dictionaries(st.sampled_from(["agents", "weights", "tasks", "rules"]),
+                    _NUMBERS, max_size=4),
+    _NUMBERS,
+)
+_OUTCOME_DOCS = st.one_of(
+    st.fixed_dictionaries({
+        "structure": _small(_small(st.one_of(st.integers(min_value=0, max_value=4),
+                                             _NUMBERS), 3), 2),
+        "payoffs": _small(_small(st.one_of(st.integers(min_value=0, max_value=12),
+                                           _NUMBERS), 3), 2),
+    }),
+    st.dictionaries(st.sampled_from(["structure", "payoffs"]), _NUMBERS, max_size=2),
+)
+# well-formed files by flag, so that the fuzzer also reaches the analyses
+_VALID_FILES = {flag: [json.dumps(doc) for doc in docs] for flag, docs in {
+    "--game": (
+        {"agents": 2, "weights": [4, 6], "tasks": [
+            {"threshold": 5, "utility": 15}, {"threshold": 4, "utility": 10}]},
+        {"agents": 3, "weights": [1, 2, "3/2"], "tasks": [{"threshold": 3, "utility": 7}]},
+        {"agents": 2, "weights": [2, 3], "rules": [
+            {"requirements": [{"agents": [1], "min": 1}, {"agents": [2], "min": 2}],
+             "value": 9},
+            {"requirements": [{"agents": [2], "min": "3/2"}], "value": 4}]},
+    ),
+    "--outcome": (
+        {"structure": [[1, 4], [3, 2]], "payoffs": [[7, 8], [9, 6]]},
+        {"structure": [[4, 6]], "payoffs": [[10, 20]]},
+        {"structure": [[2, 3]], "payoffs": [[4, 5]]},
+        {"structure": [[1, 2, 0]], "payoffs": [[0, 7, 0]]},
+    ),
+    "--problem": (
+        {"weights": [3, 5], "capacity": 6, "values": [4, 7], "target": 7},
+    ),
+}.items()}
+_VALID_FILES["--structure"] = _VALID_FILES["--outcome"]
+_BAD_FILES = st.one_of(
+    _GAME_DOCS.map(json.dumps), _OUTCOME_DOCS.map(json.dumps),
+    st.sampled_from(["", "{", "[1, 2]", "null", "{\"agents\": 2,}"]),
+)
+
+
+def _mostly(good, bad):
+    """A draw from ``good`` four times in five, from ``bad`` otherwise."""
+    return st.integers(0, 4).flatmap(lambda k: bad if k == 0 else good)
+
+
+def _values(good, bad):
+    return _mostly(st.sampled_from(good), st.sampled_from(bad))
+
+
+_FLAG_VALUES = {
+    "--kind": _values(["c", "r", "o", "f", "aubin", "nonoverlapping"], ["z"]),
+    "--mode": _values(["overlapping", "nonoverlapping", "vstar"], ["x"]),
+    "--set": _values(["1", "2", "1,2", "1,3"], ["0", "4", "a", ""]),
+    "--payoffs": _values(["5,4", "1/2,3,0", "1,1,1", "15,15"], ["1.5,2", "x", ""]),
+    "--partition": _values(["1|2", "1,2", "1|2,3"], ["3|", "x"]),
+    "--order": _values(["1,2", "2,1", "1,2,3"], ["1,1", "x"]),
+    "--grid": _values(["1", "2"], ["-1", "0", "x"]),
+    "--cap": _values(["0", "1", "2", "3"], ["-1", "x"]),
+    "--budget": _values(["0", "5"], ["-1", "x"]),
+    "--agents": _values(["2", "3"], ["-1", "0"]),
+    "--max-weight": _values(["3"], ["0"]),
+    "--tasks": _values(["2"], ["0"]),
+    "--seed": _values(["0", "7"], ["x"]),
+    "--reduction": _values(["knapsack", "biclique"], ["x"]),
+}
+_FILE_FLAGS = ("--game", "--outcome", "--structure", "--problem")
+_OUT_FLAGS = ("--out", "--game-out", "--outcome-out")
+_SWITCHES = ("--construct", "--falsify", "--rules", "--help")
+_COMMANDS = {  # (required flags, optional flags) of each command
+    "welfare": (("--game", "--mode"), ("--set", "--out", "--grid", "--cap")),
+    "check-core": (("--game", "--kind"),
+                   ("--outcome", "--payoffs", "--partition", "--grid", "--cap")),
+    "stabilize": (("--game",), ("--out",)),
+    "balanced": (("--game", "--structure"), ("--out",)),
+    "deviate": (("--game", "--outcome", "--kind", "--set"), ("--grid", "--cap")),
+    "convexity": (("--game",), ("--construct", "--falsify", "--order", "--budget",
+                                "--out", "--grid", "--cap")),
+    "gen": (("--game-out",), ("--reduction", "--problem", "--seed", "--agents",
+                              "--max-weight", "--tasks", "--rules", "--outcome-out")),
+}
+_ALL_FLAGS = sorted(set(_FLAG_VALUES) | set(_FILE_FLAGS) | set(_OUT_FLAGS) | set(_SWITCHES))
+
+
+@st.composite
+def _invocations(draw):
+    """An argument list for ``ocf`` and the files it names, as
+    (argv with file placeholders, {placeholder: text}): a command with its
+    required flags, some of its optional ones and, at times, a stray flag."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    flags = list(required) + [flag for flag in optional if draw(st.booleans())]
+    if draw(st.integers(0, 4)) == 0:
+        flags.append(draw(st.sampled_from(_ALL_FLAGS)))
+    argv = [command]
+    files = {}
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag in _FLAG_VALUES:
+            argv.append(draw(_FLAG_VALUES[flag]))
+        elif flag in _FILE_FLAGS:
+            name = f"in{len(files)}.json"
+            files[name] = draw(_mostly(st.sampled_from(_VALID_FILES[flag]), _BAD_FILES))
+            argv.append(name)
+        elif flag in _OUT_FLAGS:
+            argv.append(draw(st.sampled_from(["out.json", "missing/out.json"])))
+    return argv, files
+
+
+@settings(max_examples=400, deadline=None)
+@given(_invocations())
+def test_cli_fuzz_exits_with_a_known_code_and_no_traceback(invocation):
+    argv, files = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        args = [os.path.join(tmp, a) if a in files or a.endswith("out.json") else a
+                for a in argv]
+        err = io_module.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io_module.StringIO()):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (argv, files, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and err.getvalue().startswith("error: "):
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["r", "o"])
+def test_check_core_on_an_outcome_without_coalitions(company, tmp_path, capsys, kind):
+    game, _, _ = company
+    outcome = tmp_path / "o.json"
+    outcome.write_text(json.dumps({"structure": [], "payoffs": []}))
+    assert cli.main(["check-core", "--game", game, "--kind", kind,
+                     "--outcome", str(outcome)]) == 1
+    assert capsys.readouterr().out.startswith("unstable: blocking set [1]\nachievable 10\n")
+
+
+def test_a_rule_without_weight_demand_needs_a_cap(tmp_path, capsys):
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"agents": 2, "weights": [2, 3], "rules": [
+        {"requirements": [{"agents": [1], "min": 0}], "value": 5}]}))
+    outcome = tmp_path / "o.json"
+    outcome.write_text(json.dumps({"structure": [[2, 3]], "payoffs": [[1, 4]]}))
+    argv = ["check-core", "--game", str(game), "--kind", "r", "--outcome", str(outcome)]
+    assert cli.main(argv) == 2
+    assert "no weight demand" in _one_line_error(capsys)
+    assert cli.main(argv + ["--cap", "2"]) == 1

@@ -109,7 +109,7 @@ def test_stabilize_structure_rejects_an_over_capacity_structure():
     cs = CoalitionStructure(
         (PartialCoalition((Q(40), Q(60))), PartialCoalition((Q(40), Q(60))))
     )
-    with pytest.raises(GameError, match="agent 0 over capacity by 76"):
+    with pytest.raises(GameError, match="agent 1 over capacity by 76"):
         core.stabilize_structure(g, cs)
 
 

@@ -5,15 +5,20 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import random_outcome, random_ttg
 from ocfgames import convexity, core, corpus, deviations
 from ocfgames.model import (
+    TTG,
     CoalitionStructure,
+    TaskType,
     GameError,
     Outcome,
     PartialCoalition,
+    Requirement,
+    Rule,
+    RuleBasedGame,
     payoff_vector,
 )
 
@@ -251,5 +256,286 @@ def test_scaling_memo_keeps_verdicts_of_interleaved_questions():
                 deviations._last_scaling = None
             verdicts.append(convexity.falsify_convexity(game, cap=2, grid=1))
         return verdicts
+
+    assert run(clear=False) == run(clear=True)
+
+
+# -- the closed-form division ------------------------------------------------
+
+
+@st.composite
+def single_pool_divisions(draw):
+    """One pool and floors on exactly its supporters, floors possibly
+    negative; the amount is drawn around the floors' sum, so the margin
+    (amount - sum of floors) / k is negative, zero or positive."""
+    sup = tuple(sorted(draw(st.sets(st.integers(min_value=0, max_value=3),
+                                    min_size=1, max_size=4))))
+    floors = {j: draw(_rationals(-8, 8)) for j in sup}
+    amount = max(sum(floors.values(), ZERO) + draw(_rationals(-4, 8)), ZERO)
+    return (amount, sup), floors
+
+
+@example(((Q(6), (0, 1)), {0: Q(-2), 1: Q(3)}))  # negative floor, margin 5/2
+@example(((Q(5), (0, 1)), {0: Q(2), 1: Q(3)}))  # margin exactly 0
+@example(((Q(4), (0, 1)), {0: Q(-10), 1: Q(2)}))  # floor + margin < 0: the LP
+@example(((Q(1), (0, 1)), {0: Q(2), 1: Q(3)}))  # negative margin: the LP
+@settings(max_examples=300, deadline=None)
+@given(single_pool_divisions())
+def test_closed_form_division_matches_the_program(instance):
+    pool, floors = instance
+    closed = deviations._equal_margin_split(pool, floors)
+    answer = deviations._divide_strictly([pool], floors)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(deviations, "_equal_margin_split", lambda pool, floors: None)
+        by_lp = deviations._divide_strictly([pool], floors)
+    assert answer == by_lp
+    margin = (pool[0] - sum(floors.values(), ZERO)) / len(floors)
+    applies = margin >= 0 and all(f + margin >= 0 for f in floors.values())
+    assert (closed is not None) == applies
+    if closed is not None:
+        assert closed == by_lp
+    # the closed form answers only the margin question of a single pool
+    # shared by exactly the floored agents
+    assert deviations._equal_margin_split(pool, {**floors, 9: ZERO}) is None
+
+
+# -- r/o membership against a full enumeration scored in Fractions ------------
+
+
+def _reference_find(game, outcome, J, kind, cap, grid):
+    """The deviation search as a full enumeration: every candidate plan is
+    built and scored in Fractions, the plans above p(J) are sorted by
+    decreasing total (ties in generation order) and tried in turn."""
+    ctx = deviations._Search(game, outcome, J, cap, grid)
+    Js, n = ctx.Js, game.n
+    coalitions = outcome.structure.coalitions
+    pJ = sum((ctx.pJ[j] for j in Js), ZERO)
+
+    def value(vec, base=None):
+        return game.value(ctx.scaled_row(vec, base))
+
+    def structures(caps, budget):
+        return ctx.new_structures(caps, budget)[0]  # generation order
+
+    budget = None if cap is None else max(0, cap - len(ctx.mixed))
+    candidates = []  # (total, base, takes, caps, structure, kept, abandoned, modified)
+    if kind == "r":
+        touched = [i for i in ctx.mixed if any(ctx.units[i][j] for j in Js)]
+        forced = [i for i in ctx.mixed if i not in touched]
+        for k in range(len(touched) + 1):
+            for drop in itertools.combinations(touched, k):
+                kept = forced + [i for i in touched if i not in drop]
+                base = {j: sum((outcome.payoffs[i][j] for i in kept), ZERO) for j in Js}
+                caps = tuple(ctx.w[j] - sum(ctx.units[i][j] for i in kept) for j in Js)
+                for s in structures(caps, budget):
+                    total = sum(base.values(), ZERO) + sum((value(v) for v, _ in s), ZERO)
+                    candidates.append((total, base, (), caps, s, tuple(sorted(kept)),
+                                       tuple(sorted(set(drop) | set(ctx.dev_only))), ()))
+    else:
+        options = []
+        for i in ctx.mixed:
+            nondev = [ZERO if j in ctx.J else u for j, u in enumerate(coalitions[i].units)]
+            paid = sum((outcome.payoffs[i][j] for j in range(n) if j not in ctx.J), ZERO)
+            unchanged = tuple(ctx.units[i][j] for j in Js)
+            mods = {(0,) * len(Js): ZERO}
+            vecs = [unchanged] + list(deviations._grid_vectors(ctx.full_caps(), ctx.g))
+            for vec in vecs:
+                if any(vec) and value(vec, nondev) - paid > 0:
+                    mods[vec] = value(vec, nondev) - paid
+            if isinstance(game, TTG):  # only the minimal top-ups per task
+                pooled = sum(u for j, u in enumerate(ctx.units[i]) if j not in ctx.J)
+                needs = {-(-max(0, int(t.threshold * ctx.M) - pooled) // ctx.g) * ctx.g
+                         or ctx.g for t in game.tasks}
+                mods = {vec: t for vec, t in mods.items()
+                        if not any(vec) or vec == unchanged or sum(vec) in needs}
+            options.append(sorted(mods.items(), key=lambda kv: (sum(kv[0]), kv[0])))
+        for combo in itertools.product(*options):
+            caps = tuple(c - sum(vec[k] for vec, _ in combo)
+                         for k, c in enumerate(ctx.full_caps()))
+            if any(c < 0 for c in caps):
+                continue
+            takes = tuple((t, frozenset(ctx.supporters(vec))) for vec, t in combo if t > 0)
+            kept = tuple(i for i, (vec, _) in zip(ctx.mixed, combo)
+                         if vec == tuple(ctx.units[i][j] for j in Js))
+            abandoned = tuple(sorted(ctx.dev_only + [
+                i for i, (vec, _) in zip(ctx.mixed, combo) if not any(vec) and i not in kept]))
+            modified = tuple((i, vec) for i, (vec, _) in zip(ctx.mixed, combo)
+                             if any(vec) and i not in kept)
+            for s in structures(caps, budget):
+                total = sum((t for t, _ in takes), ZERO) + sum((value(v) for v, _ in s), ZERO)
+                candidates.append((total, {}, takes, caps, s, kept, abandoned, modified))
+    ranked = sorted((c for c in candidates if c[0] > pJ), key=lambda c: -c[0])
+    for _, base, takes, caps, s, kept, abandoned, modified in ranked:
+        claimed = [(t, tuple(sorted(sup))) for t, sup in takes]
+        vecs, built = ctx.padded(s, caps, (j for _, sup in claimed for j in sup))
+        pools = claimed + built
+        if any(base.get(j, ZERO) <= ctx.pJ[j] and not any(j in sup for _, sup in pools)
+               for j in Js):
+            continue
+        division = deviations._divide_strictly(
+            pools, {j: ctx.pJ[j] - base.get(j, ZERO) for j in Js})
+        if division is None or division[0] <= 0:
+            continue
+        shares = division[1]
+        plan = deviations.DeviationPlan(
+            deviators=frozenset(J),
+            kept=tuple(sorted(kept)),
+            abandoned=abandoned,
+            modified=tuple((i, tuple(ctx.scaled_row(vec, coalitions[i].units)))
+                           for i, vec in modified),
+            new_structure=CoalitionStructure(
+                tuple(PartialCoalition(ctx.scaled_row(vec)) for vec in vecs)),
+        )
+        gains = {j: base.get(j, ZERO) + sum((sh.get(j, ZERO) for sh in shares), ZERO)
+                 - ctx.pJ[j] for j in Js}
+        return deviations.DeviationResult(
+            found=True, plan=plan,
+            payoffs=tuple(tuple(sh.get(j, ZERO) for j in range(n)) for sh in shares),
+            gains=gains, resolution=(cap, grid))
+    return deviations.DeviationResult(found=False, resolution=(cap, grid))
+
+
+def _reference_membership(game, outcome, kind, cap, grid):
+    p = payoff_vector(outcome) if outcome.payoffs else (ZERO,) * game.n
+    for k in range(1, game.n + 1):
+        for S in itertools.combinations(range(game.n), k):
+            if kind == "c":
+                result = deviations.find_c_deviation(game, outcome, S, cap, grid)
+            else:
+                result = _reference_find(game, outcome, S, kind, cap, grid)
+            if result.found:
+                gain = sum(result.gains.values(), ZERO)
+                return core.CoreVerdict(
+                    stable=False, witness=frozenset(S),
+                    witness_value=sum((p[j] for j in S), ZERO) + gain,
+                    shortfall=gain, resolution=(cap, grid), deviation=result)
+    return core.CoreVerdict(stable=True, resolution=(cap, grid))
+
+
+def _random_rule_game(rng):
+    n = rng.randint(1, 3)
+    weights = tuple(Q(rng.randint(1, 3)) for _ in range(n))
+    rules = []
+    for _ in range(rng.randint(1, 2)):
+        reqs = tuple(
+            Requirement(frozenset(rng.sample(range(n), rng.randint(1, n))),
+                        Q(rng.randint(0, 4), rng.choice((1, 2))))
+            for _ in range(rng.randint(1, 2))
+        )
+        rules.append(Rule(reqs, Q(rng.randint(1, 20), rng.choice((1, 3)))))
+    return RuleBasedGame(weights, tuple(rules))
+
+
+def _random_split_outcome(rng, game):
+    """A feasible outcome of one or two coalitions whose contributions are
+    multiples of 1/1 or 1/2, each value split among its supporters."""
+    remaining = list(game.weights)
+    den = rng.choice((1, 2))
+    coalitions, payoffs = [], []
+    for _ in range(rng.randint(1, 2)):
+        units = []
+        for j in range(game.n):
+            u = Q(rng.randint(0, int(remaining[j] * den)), den)
+            remaining[j] -= u
+            units.append(u)
+        sup = [j for j, u in enumerate(units) if u]
+        if not sup:
+            continue
+        v = game.value(units)
+        weights = [rng.randint(0, 3) for _ in sup]
+        weights[0] += sum(weights) == 0
+        row = [ZERO] * game.n
+        for j, w in zip(sup, weights):
+            row[j] = v * w / sum(weights)
+        coalitions.append(PartialCoalition(tuple(units)))
+        payoffs.append(tuple(row))
+    return Outcome(CoalitionStructure(tuple(coalitions)), tuple(payoffs))
+
+
+@st.composite
+def membership_questions(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
+    if draw(st.booleans()):
+        game = random_ttg(rng, max_n=3, max_total=6, max_tasks=3)
+        outcome = random_outcome(rng, game) if draw(st.booleans()) else \
+            _random_split_outcome(rng, game)
+    else:
+        game = _random_rule_game(rng)
+        outcome = _random_split_outcome(rng, game)
+    return (game, outcome, draw(st.sampled_from("cro")),
+            draw(st.sampled_from((1, 2, 3))), draw(st.sampled_from((1, 2))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_questions())
+def test_membership_matches_a_full_enumeration(question):
+    game, outcome, kind, cap, grid = question
+    try_best_first = deviations._try_best_first
+
+    def only_gainful(ctx, candidates, resolution):
+        assert all(cand.score > ctx.target for cand in candidates)
+        return try_best_first(ctx, candidates, resolution)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(deviations, "_try_best_first", only_gainful)
+        verdict = deviations.core_membership(game, outcome, kind, cap=cap, grid=grid)
+    event(f"{type(game).__name__} {kind} {'stable' if verdict.stable else 'unstable'}")
+    assert verdict == _reference_membership(game, outcome, kind, cap, grid)
+
+
+# -- the shared enumeration memo -----------------------------------------------
+
+
+def _memo_cases():
+    rng = random.Random(17)
+    cases = []
+    for k in range(4):
+        game = random_ttg(rng, max_n=3, max_total=6, max_tasks=3) if k % 2 else \
+            _random_rule_game(rng)
+        cases += [(game, _random_split_outcome(rng, game)) for _ in range(3)]
+    g, y, xp, z, yp = company_fixtures()
+    cases += [(g, y), (g, xp), (g, Outcome(xp.structure, xp.payoffs)), (g, z), (g, yp)]
+    # two outcomes whose deviator {1} asks for the same capacities, once with
+    # an off-grid private coalition and once without: the entry of one is
+    # not the other's
+    g = TTG((Q(3), Q(3)), (TaskType(Q(5, 2), Q(10)),))
+    shared = PartialCoalition((Q(1, 2), Q(3)))
+    cases.append((g, Outcome(CoalitionStructure((PartialCoalition((Q(5, 2), ZERO)), shared)),
+                             ((Q(10), ZERO), (ZERO, Q(10))))))
+    cases.append((g, Outcome(CoalitionStructure((shared,)), ((Q(10), ZERO),))))
+    return cases
+
+
+_MEMO_CASES = _memo_cases()
+
+
+@example([(len(_MEMO_CASES) - 2, "r", 1, None, False),
+          (len(_MEMO_CASES) - 1, "r", 1, None, False)])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(min_value=0, max_value=len(_MEMO_CASES) - 1),
+              st.sampled_from("cro"), st.sampled_from((1, 2)),
+              st.sampled_from((None, 1, 2)), st.booleans()),
+    min_size=1, max_size=12,
+))
+def test_shared_memos_keep_every_answer(calls):
+    """Interleaved membership and convexity questions give the answers they
+    give with both memos cleared before every call."""
+    def run(clear):
+        out = []
+        for index, kind, grid, cap, falsify in calls:
+            game, outcome = _MEMO_CASES[index]
+            if clear:
+                deviations._last_scaling = deviations._last_enumeration = None
+            try:
+                if falsify:
+                    out.append(convexity.falsify_convexity(game, cap=cap, grid=grid,
+                                                           budget=200))
+                else:
+                    out.append(deviations.core_membership(game, outcome, kind,
+                                                          cap=cap, grid=grid))
+            except GameError as err:  # a free rule without a cap
+                out.append(str(err))
+        return out
 
     assert run(clear=False) == run(clear=True)
