@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = stable / success, 1 = unstable / empty / violation found
-(a witness is printed), 2 = usage or validation error.
+(a witness is printed), 2 = usage or validation error, 3 = internal error
+(a failed internal check, printed as one ``internal error:`` line).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ocfgames.model import (
 )
 from ocfgames.rationals import Q, as_q, q_str
 
-STABLE, UNSTABLE, ERROR = 0, 1, 2
+STABLE, UNSTABLE, ERROR, INTERNAL = 0, 1, 2, 3
 
 
 def _agent_list(text: str, n: int) -> list[int]:
@@ -214,7 +215,7 @@ def _cmd_convexity(args) -> int:
         outcome = convexity.construct_core_element(
             game, ordering, cap=args.cap, grid=args.grid
         )
-        print("payoffs", [q_str(x) for x in payoff_vector(outcome)])
+        print("payoffs", [q_str(x) for x in payoff_vector(outcome, game.n)])
         _print_outcome(outcome, args.out)
         return STABLE
     report = convexity.falsify_convexity(
@@ -383,13 +384,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise GameError("--reduction needs --problem")
             if not args.outcome_out:
                 raise GameError("--reduction needs --outcome-out")
+        for flag, least in (("grid", 1), ("cap", 0), ("budget", 0)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise GameError(f"--{flag} must be >= {least}, got {value}")
         return args.func(args)
-    except GameError as err:
+    except (GameError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return ERROR
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return ERROR
+    except (AssertionError, ArithmeticError, RuntimeError) as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

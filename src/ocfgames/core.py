@@ -28,7 +28,7 @@ from ocfgames.model import (
     validate_outcome,
     validate_structure,
 )
-from ocfgames.rationals import Q, common_denominator
+from ocfgames.rationals import Q, common_denominator, scaled
 
 ZERO = Q(0)
 SUBSET_GUARD = welfare.SUBSET_GUARD
@@ -120,7 +120,7 @@ def check_group_rationality(
     game: Game, outcome: Outcome, cap: Optional[int] = None, grid: int = 1
 ) -> CoreVerdict:
     """:func:`check_payoffs` on the outcome's per-agent totals."""
-    return check_payoffs(game, payoff_vector(outcome), cap, grid)
+    return check_payoffs(game, payoff_vector(outcome, game.n), cap, grid)
 
 
 def check_payoffs(
@@ -180,22 +180,18 @@ class _Scaled(NamedTuple):
 
     scale: int
     total: int
-    weights: list[int]
+    weights: tuple[int, ...]
     denom: int
-    ints: list[int]
+    ints: tuple[int, ...]
 
 
 def _scale(game: TTG, payoffs: Sequence[Fraction]) -> _Scaled:
-    """Integer weights and payoffs; refuses a game past ``DP_CELL_BUDGET``
-    (:func:`welfare.scaled_total_weight`) before anything else."""
-    M, W = welfare.scaled_total_weight(game)
+    """The game's integer weights and the payoffs in integers; refuses a
+    game past ``DP_CELL_BUDGET`` (:func:`welfare.scaled_total_weight`)
+    before anything else."""
+    W = welfare.scaled_total_weight(game)
     D = common_denominator(payoffs)
-    return _Scaled(
-        M, W,
-        [w.numerator * (M // w.denominator) for w in game.weights],
-        D,
-        [x.numerator * (D // x.denominator) for x in payoffs],
-    )
+    return _Scaled(game.scale, W, game.scaled_weights, D, scaled(payoffs, D))
 
 
 def min_payoff_table(
@@ -299,11 +295,6 @@ def _first_shortfall(
     if bound is not None:  # pragma: no cover - a greedy prefix is a subset
         raise AssertionError(f"greedy bound {bound} certifies no shortfall")
     return CoreVerdict(stable=True)
-
-
-def ttg_membership(game: TTG, outcome: Outcome) -> CoreVerdict:
-    """:func:`ttg_payoff_membership` on the outcome's per-agent totals."""
-    return ttg_payoff_membership(game, payoff_vector(outcome))
 
 
 def ttg_payoff_membership(game: TTG, p: Sequence[Fraction]) -> CoreVerdict:
@@ -478,11 +469,10 @@ def nonoverlapping_core_check(
                 f"payoffs for block {sorted(j + 1 for j in S)} sum to {have}, "
                 f"block value is {want}"
             )
-    M, _ = welfare.scaled_total_weight(game)
     # tasks are sorted by threshold and utility: the best single task a pooled
     # weight completes is the last one whose threshold it meets, so the value
     # rises exactly at the thresholds past 1
-    thresholds = [int(t.threshold * M) for t in game.tasks]
+    thresholds = game.scaled_thresholds
     utilities = [ZERO] + [t.utility for t in game.tasks]
     first = utilities[bisect_right(thresholds, 1)]
     rises = [k for k, T in enumerate(thresholds) if T > 1]

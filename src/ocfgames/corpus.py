@@ -133,7 +133,7 @@ def _run_two_company_division() -> list[Check]:
     cs = _two_company_cs()
     x = Outcome(cs, ((Q(7), Q(8)), (Q(9), Q(6))))
     y = Outcome(cs, ((Q(7), Q(8)), (Q(8), Q(7))))
-    p = payoff_vector(x)
+    p = payoff_vector(x, game.n)
     vx = core.check_group_rationality(game, x)
     vy = core.check_group_rationality(game, y)
     return [

@@ -51,7 +51,7 @@ from ocfgames.model import (
     TTG,
     payoff_vector,
 )
-from ocfgames.rationals import Q, common_denominator
+from ocfgames.rationals import Q, common_denominator, scaled
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -110,7 +110,7 @@ class _Scaling:
     units: tuple[tuple[int, ...], ...]  # scaled contribution rows
     supports: tuple[FrozenSet[int], ...]
     p: tuple[Fraction, ...]  # payoff vector (zeros without an outcome)
-    V: int  # LCD of the task utilities or rule values: V * value is an int
+    V: int  # the game's value scale: V * value is an int
     # a TTG's tasks as (threshold * M, utility * V), by increasing threshold;
     # None for a rule-based game
     levels: Optional[tuple[tuple[int, int], ...]]
@@ -124,56 +124,48 @@ class _Scaling:
 # reused id, and a caller reads the slot once, so a concurrent writer never
 # shows it a mixed entry.
 _last_scaling: Optional[tuple] = None
+# what a search without an outcome (a convexity question) scales: no coalitions
+_NO_OUTCOME = Outcome(CoalitionStructure(()), ())
 
 
 def _scaling(game: Game, outcome: Optional[Outcome], grid: int) -> _Scaling:
     """The scaling every deviator set of one (game, outcome, grid) shares.
 
-    ``M`` is a multiple of ``grid`` making weights, thresholds or minima and
-    contributions integral; ``D`` makes every coalition value and every
-    payoff integral.  The last answer is memoized, keyed by the identity of
-    ``game`` and ``outcome`` and by ``grid``.
+    ``M``, a multiple of ``grid`` and of the game's scale, makes weights,
+    thresholds or minima and contributions integral; ``D`` makes every
+    coalition value and every payoff integral.  The last answer is memoized,
+    keyed by the identity of ``game`` and ``outcome`` and by ``grid``.
     """
     global _last_scaling
+    outcome = _NO_OUTCOME if outcome is None else outcome
     memo = _last_scaling
     if memo is not None and memo[0] is game and memo[1] is outcome and memo[2] == grid:
         return memo[3]
-    if isinstance(game, TTG):
-        data = [t.threshold for t in game.tasks]
-        V = common_denominator(t.utility for t in game.tasks)
-    else:
-        data = [req.minimum for rule in game.rules for req in rule.requirements]
-        V = common_denominator(rule.value for rule in game.rules)
-    coalitions = () if outcome is None else outcome.structure.coalitions
-    rows = () if outcome is None else outcome.payoffs
-    M0 = common_denominator(
-        list(game.weights) + data + [u for c in coalitions for u in c.units]
-    )
-    M = lcm(M0, grid)
+    if grid < 1:
+        raise GameError("grid denominator must be >= 1")
+    coalitions, rows = outcome.structure.coalitions, outcome.payoffs
+    M = lcm(game.scale, grid, common_denominator(u for c in coalitions for u in c.units))
+    V = game.value_scale
     D = lcm(V, common_denominator(x for row in rows for x in row))
-    p = payoff_vector(outcome) if rows else (ZERO,) * game.n
+    p = payoff_vector(outcome, game.n)
     scaling = _Scaling(
         M=M,
         g=M // grid,
-        w=tuple(_times(x, M) for x in game.weights),
-        units=tuple(tuple(_times(u, M) for u in c.units) for c in coalitions),
+        w=scaled(game.weights, M),
+        units=tuple(scaled(c.units, M) for c in coalitions),
         supports=tuple(c.support for c in coalitions),
         p=p,
         V=V,
-        levels=tuple(
-            (_times(t.threshold, M), _times(t.utility, V)) for t in game.tasks
-        ) if isinstance(game, TTG) else None,
+        levels=tuple(zip(
+            scaled((t.threshold for t in game.tasks), M),
+            scaled((t.utility for t in game.tasks), V),
+        )) if isinstance(game, TTG) else None,
         D=D,
-        pD=tuple(_times(x, D) for x in p),
-        payoffs=tuple(tuple(_times(x, D) for x in row) for row in rows),
+        pD=scaled(p, D),
+        payoffs=tuple(scaled(row, D) for row in rows),
     )
     _last_scaling = (game, outcome, grid, scaling)
     return scaling
-
-
-def _times(x: Fraction, scale: int) -> int:
-    """``x * scale`` for a ``scale`` that is a multiple of x's denominator."""
-    return x.numerator * (scale // x.denominator)
 
 
 # The enumeration memo of the last game searched, as one tuple (game,
@@ -211,8 +203,6 @@ class _Search:
 
     def __init__(self, game: Game, outcome: Optional[Outcome], J: Iterable[int],
                  cap: Optional[int], grid: int):
-        if grid < 1:
-            raise GameError("grid denominator must be >= 1")
         self.game = game
         self.outcome = outcome
         self.J = frozenset(J)
@@ -374,12 +364,6 @@ class _Search:
         if hit is not None:
             return hit
         vectors = self.useful_vectors(caps)
-        if budget is None and vectors and not any(vectors[0][0]):
-            # the zero vector sorts first; without a budget it repeats forever
-            raise GameError(
-                "a rule with positive value and no weight demand makes "
-                "deviator structures unbounded; give a cap"
-            )
         out: list = []
 
         def rec(start: int, left: tuple[int, ...], budget_left, chosen):
@@ -866,8 +850,6 @@ def core_membership(
         raise GameError(f"unknown core kind {kind!r}")
     if game.n > SUBSET_GUARD:
         raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
-    if grid < 1:
-        raise GameError("grid denominator must be >= 1")
     find = FINDERS[kind]
     scaling = _scaling(game, outcome, grid)
     p = scaling.p

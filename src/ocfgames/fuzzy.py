@@ -61,7 +61,7 @@ def fuzzy_value(game: TTG, r: Sequence[Fraction]) -> Fraction:
 def _efficiency_check(game: TTG, p: Sequence[Fraction]) -> None:
     if len(p) != game.n:
         raise GameError(f"payoff vector of length {len(p)} for {game.n} agents")
-    total = welfare.knapsack_profile(game).value_at(sum(game.weights, ZERO))
+    total = welfare.knapsack_profile(game).utilities[-1]
     if sum(p, ZERO) != total:
         raise GameError(
             f"payoffs sum to {sum(p, ZERO)}, grand-coalition value is {total}"
@@ -101,8 +101,8 @@ def aubin_core_check(game: TTG, p: Sequence[Fraction]) -> FuzzyCheckReport:
     """
     _efficiency_check(game, p)
     profile = welfare.knapsack_profile(game)
-    M, total = welfare.scaled_total_weight(game)
-    caps = [int(w * M) for w in game.weights]
+    total = profile.limit
+    caps = game.scaled_weights
     costs = [pi / cap for pi, cap in zip(p, caps)]
     best_gap = ZERO
     best = None

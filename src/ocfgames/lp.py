@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
 from ocfgames.model import GameError
-from ocfgames.rationals import Q
+from ocfgames.rationals import Q, common_denominator, scaled
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -169,17 +169,11 @@ def _pivot(rows: list[list[int]], dens: list[int], basis: list[int],
     basis[r] = c
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Rationals as ints over their least common denominator."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def _objective_row(rows: list[list[int]], dens: list[int], basis: list[int],
-                   cost: list[int], cd: int) -> tuple[list[int], int]:
+                   cost: Sequence[int], cd: int) -> tuple[list[int], int]:
     """Reduced costs (and negated objective value in the last slot) of the
     cost vector ``cost / cd``."""
-    z, dz = cost + [0], cd
+    z, dz = [*cost, 0], cd
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb == 0:
@@ -192,7 +186,7 @@ def _run_simplex(
     rows: list[list[int]],
     dens: list[int],
     basis: list[int],
-    cost: list[int],
+    cost: Sequence[int],
     cd: int,
     blocked: frozenset[int],
 ) -> tuple[str, list[int], int]:
@@ -304,7 +298,8 @@ def solve(program: LinearProgram) -> LPResult:
         cost2[j] = a
         if j in mirror:
             cost2[mirror[j]] = -a
-    status, z, dz = _run_simplex(rows, dens, basis, *_scaled(cost2), artificials)
+    cd = common_denominator(cost2)
+    status, z, dz = _run_simplex(rows, dens, basis, scaled(cost2, cd), cd, artificials)
     if status == "unbounded":
         return LPResult(status="unbounded")
     x = _assignment(rows, dens, basis, n, mirror)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from ocfgames.rationals import Q, as_q
+from ocfgames.rationals import Q, as_q, common_denominator, scaled
 
 ZERO = Q(0)
 
@@ -76,9 +76,24 @@ def _check_weights(weights: Sequence) -> tuple[Fraction, ...]:
     return w
 
 
+def _set_integer_view(game, minima: Iterable[Fraction], values: Iterable[Fraction]) -> None:
+    """Store a game's integer view: ``scale``, the LCD of its weights and
+    ``minima`` (task thresholds or requirement minima); ``scaled_weights``,
+    the weights in units of ``1/scale``; and ``value_scale``, the LCD of
+    ``values`` (task utilities or rule values)."""
+    scale = common_denominator((*game.weights, *minima))
+    object.__setattr__(game, "scale", scale)
+    object.__setattr__(game, "scaled_weights", scaled(game.weights, scale))
+    object.__setattr__(game, "value_scale", common_denominator(values))
+
+
 @dataclass(frozen=True)
 class TTG:
-    """Threshold task game: positive agent weights plus a monotone task list."""
+    """Threshold task game: positive agent weights plus a monotone task list.
+
+    Construction also derives the integer view (:func:`_set_integer_view`)
+    and ``scaled_thresholds``, the task thresholds in units of ``1/scale``.
+    """
 
     weights: tuple[Fraction, ...]
     tasks: tuple[TaskType, ...]
@@ -87,6 +102,9 @@ class TTG:
         object.__setattr__(self, "weights", _check_weights(self.weights))
         object.__setattr__(self, "tasks", normalize_tasks(self.tasks))
         object.__setattr__(self, "_hash", hash((self.weights, self.tasks)))
+        thresholds = [t.threshold for t in self.tasks]
+        _set_integer_view(self, thresholds, (t.utility for t in self.tasks))
+        object.__setattr__(self, "scaled_thresholds", scaled(thresholds, self.scale))
 
     def __hash__(self) -> int:
         # the dataclass hash, computed once: cache lookups key on the game
@@ -152,7 +170,13 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleBasedGame:
-    """Game where a coalition earns the best value among its satisfied rules."""
+    """Game where a coalition earns the best value among its satisfied rules.
+
+    A rule with positive value and no positive minimum would pay for an
+    empty coalition, so every welfare question would be unbounded; it is
+    rejected.  Construction also derives the integer view
+    (:func:`_set_integer_view`).
+    """
 
     weights: tuple[Fraction, ...]
     rules: tuple[Rule, ...]
@@ -161,11 +185,19 @@ class RuleBasedGame:
         object.__setattr__(self, "weights", _check_weights(self.weights))
         object.__setattr__(self, "rules", tuple(self.rules))
         n = len(self.weights)
-        for rule in self.rules:
+        for k, rule in enumerate(self.rules):
             for req in rule.requirements:
                 if any(j < 0 or j >= n for j in req.agents):
                     raise GameError(f"requirement names an unknown agent: {req}")
+            if rule.value > 0 and not any(req.minimum > 0 for req in rule.requirements):
+                raise GameError(f"rule {k + 1} has positive value and no positive "
+                                "minimum: value is unbounded")
         object.__setattr__(self, "_hash", hash((self.weights, self.rules)))
+        _set_integer_view(
+            self,
+            [req.minimum for rule in self.rules for req in rule.requirements],
+            (rule.value for rule in self.rules),
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -281,16 +313,11 @@ def structure_value(game: Game, cs: CoalitionStructure) -> Fraction:
     return sum((game.value(c.units) for c in cs.coalitions), ZERO)
 
 
-def payoff_vector(outcome: Outcome) -> tuple[Fraction, ...]:
-    """Per-agent column sums of the payoff matrix."""
-    if not outcome.payoffs:
-        n = max((len(c.units) for c in outcome.structure.coalitions), default=0)
-        return (ZERO,) * n
-    widths = {len(row) for row in outcome.payoffs}
-    widths |= {len(c.units) for c in outcome.structure.coalitions}
-    if len(widths) > 1:
-        raise GameError(f"inconsistent outcome dimensions: {sorted(widths)}")
-    n = widths.pop()
+def payoff_vector(outcome: Outcome, n: int) -> tuple[Fraction, ...]:
+    """Per-agent column sums of the payoff matrix of an ``n``-agent outcome."""
+    for row in outcome.payoffs:
+        if len(row) != n:
+            raise GameError(f"payoff row of width {len(row)} for {n} agents")
     return tuple(sum((row[j] for row in outcome.payoffs), ZERO) for j in range(n))
 
 
@@ -333,7 +360,7 @@ def validate_outcome(
                 problems.append(f"coalition {i}: negative payoff {x} to agent {j + 1}")
     if not individual_rationality:
         return problems
-    p = payoff_vector(outcome) if outcome.payoffs else (ZERO,) * game.n
+    p = payoff_vector(outcome, game.n)
     for j in range(game.n):
         floor = welfare.vstar(game, frozenset([j]))
         if p[j] < floor:

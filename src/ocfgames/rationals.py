@@ -37,7 +37,10 @@ def q_str(x: Fraction) -> str:
 def common_denominator(values: Iterable[Fraction]) -> int:
     """LCM of the denominators of ``values`` (1 for an empty iterable);
     ints and Fractions both carry ``denominator``."""
-    denom = 1
-    for v in values:
-        denom = lcm(denom, v.denominator)
-    return denom
+    return lcm(*(v.denominator for v in values))
+
+
+def scaled(values: Iterable[Fraction], scale: int) -> tuple[int, ...]:
+    """``values`` times ``scale``, a multiple of every value's denominator,
+    as ints."""
+    return tuple(v.numerator * (scale // v.denominator) for v in values)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import floor, lcm
+from math import floor
 from typing import FrozenSet, Iterable, Optional, Sequence
 
 from ocfgames import lp
@@ -28,7 +28,7 @@ from ocfgames.model import (
     TTG,
     to_nonoverlapping,
 )
-from ocfgames.rationals import Q, common_denominator
+from ocfgames.rationals import Q, scaled
 
 ZERO = Q(0)
 # Cache budgets (entries, least recently used evicted first): profiles are
@@ -45,23 +45,20 @@ DP_CELL_BUDGET = 5_000_000
 SUBSET_GUARD = 16
 
 
-def scaled_total_weight(game: TTG) -> tuple[int, int]:
-    """The scale factor ``M``, the smallest integer making all weights and
-    thresholds integral, and the total weight ``W`` in units of ``1/M``.
+def scaled_total_weight(game: TTG) -> int:
+    """The total weight ``W`` in units of ``1/game.scale``.
 
     Raises :class:`GameError` when an ``(n + 1) x (W + 1)`` table would pass
     ``DP_CELL_BUDGET``, before any table is built.
     """
-    M = lcm(*(w.denominator for w in game.weights),
-            *(t.threshold.denominator for t in game.tasks))
-    W = sum(w.numerator * (M // w.denominator) for w in game.weights)
+    W = sum(game.scaled_weights)
     cells = (game.n + 1) * (W + 1)
     if cells > DP_CELL_BUDGET:
         raise GameError(
-            f"total weight {W}/{M} needs {cells} table cells, "
+            f"total weight {W}/{game.scale} needs {cells} table cells, "
             f"over the budget of {DP_CELL_BUDGET}"
         )
-    return M, W
+    return W
 
 
 @dataclass(frozen=True)
@@ -69,30 +66,21 @@ class KnapsackProfile:
     """Best pooled utility per integer-scaled weight.
 
     ``utilities[w]`` is the best total utility of any multiset of task copies
-    whose thresholds sum to at most ``w`` scaled units (``scale`` original
-    units per unit weight:  scaled = original * scale).  The welfare optimum
-    and the rises of the profile are computed once, on first use, and live
-    as long as the profile does (in the profile cache).
+    whose thresholds sum to at most ``w`` units of ``1/game.scale``.  The
+    welfare optimum and the rises of the profile are computed once, on first
+    use, and live as long as the profile does (in the profile cache).
     """
 
     game: TTG
-    scale: int
     utilities: tuple[Fraction, ...]
 
     @property
     def limit(self) -> int:
         return len(self.utilities) - 1
 
-    def value_at(self, weight: Fraction) -> Fraction:
-        """Profile value at an exact grid point."""
-        w = Q(weight) * self.scale
-        if w.denominator != 1 or w < 0 or w > self.limit:
-            raise GameError(f"weight {weight} is off the profile grid")
-        return self.utilities[int(w)]
-
     def floor_value_at(self, weight: Fraction) -> Fraction:
         """Profile value at the grid point just below ``weight``."""
-        w = floor(Q(weight) * self.scale)
+        w = floor(Q(weight) * self.game.scale)
         if w < 0 or w > self.limit:
             raise GameError(f"weight {weight} is outside the profile range")
         return self.utilities[w]
@@ -104,7 +92,7 @@ class KnapsackProfile:
         the optimum is taken.
         """
         tasks = self.game.tasks
-        thresholds = [int(t.threshold * self.scale) for t in tasks]
+        thresholds = self.game.scaled_thresholds
         chosen: list[int] = []
         w = scaled_weight
         U = self.utilities
@@ -157,8 +145,8 @@ class KnapsackProfile:
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def knapsack_profile(game: TTG) -> KnapsackProfile:
     """Unbounded-knapsack utility profile up to the game's total weight."""
-    M, W = scaled_total_weight(game)
-    items = [(int(t.threshold * M), t.utility) for t in game.tasks]
+    W = scaled_total_weight(game)
+    items = list(zip(game.scaled_thresholds, (t.utility for t in game.tasks)))
     U = [ZERO] * (W + 1)
     for w in range(1, W + 1):
         best = U[w - 1]
@@ -166,7 +154,7 @@ def knapsack_profile(game: TTG) -> KnapsackProfile:
             if T <= w and u + U[w - T] > best:
                 best = u + U[w - T]
         U[w] = best
-    return KnapsackProfile(game, M, tuple(U))
+    return KnapsackProfile(game, tuple(U))
 
 
 def canonical_structure(game: TTG) -> CoalitionStructure:
@@ -259,8 +247,7 @@ def _vstar_cached(game: Game, S: FrozenSet[int], cap: Optional[int]) -> Fraction
     if not S:
         return ZERO
     if isinstance(game, TTG):
-        profile = knapsack_profile(game)
-        return profile.value_at(game.total_weight(S))
+        return knapsack_profile(game).utilities[sum(game.scaled_weights[j] for j in S)]
     return _rule_cover(game, S, cap)
 
 
@@ -279,8 +266,6 @@ def _rule_cover(game: RuleBasedGame, S: FrozenSet[int], cap: Optional[int] = Non
                 ok = False
                 break
             need = max(need, req.minimum)
-        if ok and need == 0:
-            raise GameError(f"rule with positive value and no weight demand: {rule}")
         if ok and need <= budget:
             usable.append((rule, need))
     if not usable:
@@ -336,19 +321,15 @@ def _feasible_by_flow(
 ) -> bool:
     """Max-flow feasibility: agents supply, requirement instances demand.
 
-    Capacities are integers, scaled by the LCD of S's weights and the
-    requirement minima; augmenting paths are shortest (Edmonds-Karp) and the
-    search stops once the flow meets the demand.
+    Capacities are integers, in units of ``1/game.scale``; augmenting paths
+    are shortest (Edmonds-Karp) and the search stops once the flow meets the
+    demand, which is positive: a rule with positive value has a positive
+    minimum.
     """
     agents = sorted(S)
     reqs = [req for rule in instances for req in rule.requirements if req.minimum]
-    D = common_denominator(
-        [game.weights[j] for j in agents] + [req.minimum for req in reqs]
-    )
-    need = [int(req.minimum * D) for req in reqs]
+    need = scaled((req.minimum for req in reqs), game.scale)
     demand = sum(need)
-    if demand == 0:
-        return True
     # nodes: 0 = source, 1..len(agents) = agents, then requirements, last = sink
     src, sink = 0, 1 + len(agents) + len(reqs)
     residual = [[0] * (sink + 1) for _ in range(sink + 1)]
@@ -360,7 +341,7 @@ def _feasible_by_flow(
         adj[v].append(u)
 
     for ai, j in enumerate(agents):
-        edge(src, 1 + ai, int(game.weights[j] * D))
+        edge(src, 1 + ai, game.scaled_weights[j])
     for ri, req in enumerate(reqs):
         rnode = 1 + len(agents) + ri
         edge(rnode, sink, need[ri])

@@ -93,10 +93,10 @@ def test_criterion_2_membership_suite():
     )
     x = Outcome(cs, ((Q(7), Q(8)), (Q(9), Q(6))))
     y = Outcome(cs, ((Q(7), Q(8)), (Q(8), Q(7))))
-    ok = payoff_vector(x) == (Q(16), Q(14))
-    vx = core.ttg_membership(g, x)
+    ok = payoff_vector(x, g.n) == (Q(16), Q(14))
+    vx = core.check_group_rationality(g, x)
     ok = ok and not vx.stable and vx.witness == frozenset({1})
-    ok = ok and core.ttg_membership(g, y).stable
+    ok = ok and core.check_group_rationality(g, y).stable
     _report(2, ok, "division decides strict-core membership of (16, 14)")
 
 
@@ -150,7 +150,7 @@ def test_criterion_5_accepted_outcomes_are_welfare_optimal(sweep):
     for game, outcomes in sweep:
         best = welfare.max_welfare_overlapping(game)[0]
         for outcome, _ in outcomes:
-            if not core.ttg_membership(game, outcome).stable:
+            if not core.check_group_rationality(game, outcome).stable:
                 continue
             checked += 1
             if structure_value(game, outcome.structure) != best:
@@ -258,8 +258,8 @@ def test_criterion_11_oracle_equivalences():
     for _ in range(100):  # membership vs 2^n brute force
         g = random_ttg(rng, max_n=10, max_total=12, max_tasks=2)
         o = random_outcome(rng, g)
-        p = payoff_vector(o)
-        if core.ttg_membership(g, o).stable != brute_payoff_membership(g, p):
+        p = payoff_vector(o, g.n)
+        if core.check_group_rationality(g, o).stable != brute_payoff_membership(g, p):
             mism += 1
     for _ in range(40):  # knapsack profile vs multiset enumeration
         g = random_ttg(rng, max_n=3, max_total=12, max_tasks=3)
@@ -324,7 +324,7 @@ def test_criterion_12_reduction_equivalences():
             continue
         built += 1
         game, outcome = reductions.from_knapsack(inst)
-        member = core.ttg_membership(game, outcome).stable
+        member = core.check_group_rationality(game, outcome).stable
         if member == reductions.knapsack_decision(inst):
             mism += 1
     for _ in range(10):  # decision games from biclique instances
@@ -405,7 +405,7 @@ def test_criterion_14_composition_property():
         for ordering in itertools.permutations(range(g.n)):
             outcome = convexity.construct_core_element(g, ordering, grid=1)
             built += 1
-            if not core.ttg_membership(g, outcome).stable:
+            if not core.check_group_rationality(g, outcome).stable:
                 bad += 1
     hits = convexity.falsify_convexity(
         corpus.empty_core_game(), cap=3, grid=1

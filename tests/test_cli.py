@@ -81,7 +81,7 @@ def test_stabilize_writes_an_outcome(company, tmp_path, capsys):
     stable = io.load_outcome(str(out), g)
     from ocfgames import core
 
-    assert core.ttg_membership(g, stable).stable
+    assert core.check_group_rationality(g, stable).stable
 
 
 def test_stabilize_reports_emptiness(tmp_path, capsys):
@@ -474,7 +474,7 @@ def test_cli_fuzz_exits_with_a_known_code_and_no_traceback(invocation):
         assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
-@pytest.mark.parametrize("kind", ["r", "o"])
+@pytest.mark.parametrize("kind", ["c", "r", "o"])
 def test_check_core_on_an_outcome_without_coalitions(company, tmp_path, capsys, kind):
     game, _, _ = company
     outcome = tmp_path / "o.json"
@@ -484,13 +484,60 @@ def test_check_core_on_an_outcome_without_coalitions(company, tmp_path, capsys, 
     assert capsys.readouterr().out.startswith("unstable: blocking set [1]\nachievable 10\n")
 
 
-def test_a_rule_without_weight_demand_needs_a_cap(tmp_path, capsys):
+def test_a_rule_without_a_positive_minimum_is_refused(tmp_path, capsys):
+    """With or without a cap: such a rule would pay for an empty coalition."""
     game = tmp_path / "g.json"
-    game.write_text(json.dumps({"agents": 2, "weights": [2, 3], "rules": [
-        {"requirements": [{"agents": [1], "min": 0}], "value": 5}]}))
     outcome = tmp_path / "o.json"
     outcome.write_text(json.dumps({"structure": [[2, 3]], "payoffs": [[1, 4]]}))
     argv = ["check-core", "--game", str(game), "--kind", "r", "--outcome", str(outcome)]
-    assert cli.main(argv) == 2
-    assert "no weight demand" in _one_line_error(capsys)
-    assert cli.main(argv + ["--cap", "2"]) == 1
+    for requirements in ([{"agents": [1], "min": 0}],
+                         [{"agents": [1], "min": 0}, {"agents": [2], "min": 0}],
+                         []):
+        game.write_text(json.dumps({"agents": 2, "weights": [2, 3], "rules": [
+            {"requirements": requirements, "value": 5}]}))
+        for extra in ([], ["--cap", "2"]):
+            assert cli.main(argv + extra) == 2
+            assert _one_line_error(capsys) == "error: rule 1 has positive value and " \
+                "no positive minimum: value is unbounded\n"
+
+
+_RESOLUTION_COMMANDS = (
+    ["welfare", "--mode", "vstar", "--set", "1"],
+    ["check-core", "--kind", "c", "--outcome", "OUTCOME"],
+    ["check-core", "--kind", "r", "--outcome", "OUTCOME"],
+    ["check-core", "--kind", "o", "--outcome", "OUTCOME"],
+    ["deviate", "--kind", "r", "--set", "1", "--outcome", "OUTCOME"],
+    ["convexity", "--falsify"],
+)
+_BAD_VALUES = {"--grid": ("0", 1), "--cap": ("-1", 0), "--budget": ("-1", 0)}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in _RESOLUTION_COMMANDS for flag in ("--grid", "--cap")
+] + [(_RESOLUTION_COMMANDS[-1], "--budget")])
+def test_an_out_of_range_resolution_flag_exits_two(company, tmp_path, capsys,
+                                                   command, flag):
+    game, _, _ = company
+    outcome = tmp_path / "o.json"
+    outcome.write_text(json.dumps({"structure": [[4, 6]], "payoffs": [[6, 9]]}))
+    argv = [str(outcome) if a == "OUTCOME" else a for a in command]
+    value, least = _BAD_VALUES[flag]
+    assert cli.main(argv + ["--game", game, flag, value]) == 2
+    assert _one_line_error(capsys) == f"error: {flag} must be >= {least}, got {value}\n"
+
+
+@pytest.mark.parametrize("error", [
+    AssertionError("profile table inconsistent"),
+    ZeroDivisionError("division by zero"),
+    RuntimeError("repeated cut"),
+])
+def test_an_internal_error_exits_three_with_one_line(company, monkeypatch, capsys, error):
+    game, x, _ = company
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.core, "check_group_rationality", fail)
+    assert cli.main(["check-core", "--game", game, "--kind", "c", "--outcome", x]) == 3
+    err = capsys.readouterr().err
+    assert err == f"internal error: {type(error).__name__}: {error}\n"

@@ -21,9 +21,9 @@ ZERO = Q(0)
 def test_greedy_construction_on_the_symmetric_trio():
     g = corpus.three_symmetric_game()
     outcome = convexity.construct_core_element(g, (0, 1, 2))
-    assert payoff_vector(outcome) == (ZERO, Q(1), Q(1))
+    assert payoff_vector(outcome, g.n) == (ZERO, Q(1), Q(1))
     assert validate_outcome(g, outcome) == []
-    assert core.ttg_membership(g, outcome).stable
+    assert core.check_group_rationality(g, outcome).stable
 
 
 def test_construction_rejects_a_non_permutation():
@@ -34,7 +34,7 @@ def test_construction_rejects_a_non_permutation():
 def test_single_agent_gets_the_standalone_value():
     g = TTG((Q(3),), (TaskType(Q(2), Q(5)),))
     outcome = convexity.construct_core_element(g, (0,))
-    assert payoff_vector(outcome) == (Q(5),)
+    assert payoff_vector(outcome, g.n) == (Q(5),)
 
 
 def test_falsifier_finds_the_known_violation():
@@ -81,7 +81,7 @@ def test_no_violation_implies_greedy_builds_core_elements():
         clean += 1
         for ordering in itertools.permutations(range(g.n)):
             outcome = convexity.construct_core_element(g, ordering, grid=1)
-            assert core.ttg_membership(g, outcome).stable, (g, ordering)
+            assert core.check_group_rationality(g, outcome).stable, (g, ordering)
     assert clean >= 5
 
 

@@ -32,8 +32,8 @@ def two_company_outcomes():
 
 def test_membership_rejects_underpaying_the_strong_agent():
     g, x, _ = two_company_outcomes()
-    assert payoff_vector(x) == (Q(16), Q(14))
-    verdict = core.ttg_membership(g, x)
+    assert payoff_vector(x, g.n) == (Q(16), Q(14))
+    verdict = core.check_group_rationality(g, x)
     assert not verdict.stable
     assert verdict.witness == frozenset({1})
     assert verdict.witness_value == 15
@@ -41,7 +41,7 @@ def test_membership_rejects_underpaying_the_strong_agent():
 
 def test_membership_accepts_the_balanced_split():
     g, _, y = two_company_outcomes()
-    assert core.ttg_membership(g, y).stable
+    assert core.check_group_rationality(g, y).stable
 
 
 def test_payoff_membership_agrees_with_subset_brute_force():
@@ -66,7 +66,7 @@ def test_stabilize_finds_a_stable_division():
     verdict = core.stabilize(g)
     assert verdict.stable
     assert validate_outcome(g, verdict.outcome) == []
-    assert core.ttg_membership(g, verdict.outcome).stable
+    assert core.check_group_rationality(g, verdict.outcome).stable
     assert structure_value(g, verdict.outcome.structure) == 2
 
 
@@ -100,7 +100,7 @@ def test_stabilize_structure_accepts_the_symmetric_optimum():
     _, _, cs = welfare.max_welfare_overlapping(g)
     verdict = core.stabilize_structure(g, cs)
     assert verdict.stable
-    p = payoff_vector(verdict.outcome)
+    p = payoff_vector(verdict.outcome, g.n)
     assert core.ttg_payoff_membership(g, p).stable
 
 
@@ -132,7 +132,7 @@ def test_stabilize_structure_agrees_with_the_lp_on_rule_based_games():
             if verdict.stable:
                 assert validate_outcome(game, verdict.outcome,
                                         individual_rationality=False) == []
-                assert core.check_payoffs(game, payoff_vector(verdict.outcome)).stable
+                assert core.check_payoffs(game, payoff_vector(verdict.outcome, game.n)).stable
             else:
                 assert verdict.certificate.check(game, cs) == []
     assert seen[True] and seen[False]

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_ttg
+from ocfgames import welfare
 from ocfgames.model import (
     CoalitionStructure,
     GameError,
@@ -87,6 +89,58 @@ def test_game_hash_is_the_field_hash_and_equality_is_by_value():
     assert "_hash" not in repr(ttg) and "_hash" not in repr(rules)
 
 
+def test_integer_view_of_a_p_over_q_task_game():
+    weights = (Q(1, 2), Q(2, 3), Q(3))
+    tasks = (TaskType(Q(5, 4), Q(3, 5)), TaskType(Q(7, 3), Q(7, 2)))
+    g = TTG(weights, tasks)
+    scale = lcm(*(x.denominator for x in weights + tuple(t.threshold for t in tasks)))
+    assert g.scale == scale == 12
+    assert g.scaled_weights == tuple(int(w * scale) for w in weights) == (6, 8, 36)
+    assert g.scaled_thresholds == tuple(int(t.threshold * scale) for t in tasks) \
+        == (15, 28)
+    assert g.value_scale == lcm(5, 2) == 10
+    with pytest.raises(FrozenInstanceError):
+        g.scale = 1
+    assert "scale" not in repr(g)
+
+
+def test_integer_view_of_a_p_over_q_rule_game():
+    weights = (Q(3, 2), Q(1))
+    rules = (
+        Rule((Requirement(frozenset({0}), Q(1, 3)), Requirement(frozenset({1}), ZERO)),
+             Q(5, 2)),
+        Rule((Requirement(frozenset({0, 1}), Q(3, 4)),), Q(7, 3)),
+    )
+    g = RuleBasedGame(weights, rules)
+    minima = [req.minimum for rule in rules for req in rule.requirements]
+    scale = lcm(*(x.denominator for x in list(weights) + minima))
+    assert g.scale == scale == 12
+    assert g.scaled_weights == tuple(int(w * scale) for w in weights) == (18, 12)
+    assert g.value_scale == lcm(2, 3) == 6
+    with pytest.raises(FrozenInstanceError):
+        g.scaled_weights = (1, 1)
+
+
+@pytest.mark.parametrize("requirements", [
+    (),
+    (Requirement(frozenset({0}), ZERO),),
+    (Requirement(frozenset({0}), ZERO), Requirement(frozenset({1}), ZERO)),
+])
+def test_a_rule_with_positive_value_and_no_positive_minimum_is_refused(requirements):
+    with pytest.raises(GameError, match="rule 2 has positive value and no positive minimum"):
+        RuleBasedGame((Q(2), Q(3)), (Rule((Requirement(frozenset({1}), Q(1)),), Q(1)),
+                                      Rule(requirements, Q(5))))
+    RuleBasedGame((Q(2), Q(3)), (Rule(requirements, ZERO),))  # a worthless rule stays
+
+
+def test_a_rule_with_one_zero_and_one_positive_minimum_is_accepted():
+    g = RuleBasedGame((Q(2), Q(3)), (
+        Rule((Requirement(frozenset({0}), ZERO), Requirement(frozenset({1}), Q(2))), Q(5)),
+    ))
+    assert g.value((ZERO, Q(2))) == 5 and g.value((Q(2), Q(1))) == 0
+    assert welfare.vstar(g, {0, 1}) == 5 and welfare.vstar(g, {0}) == 0
+
+
 def test_crisp_puts_full_weight_on_members():
     g = simple_game()
     c = crisp(g, {0, 2})
@@ -99,7 +153,10 @@ def test_payoff_vector_sums_rows():
         (PartialCoalition((Q(1), Q(2))), PartialCoalition((Q(1), ZERO)))
     )
     o = Outcome(cs, ((Q(3), Q(4)), (Q(5), ZERO)))
-    assert payoff_vector(o) == (Q(8), Q(4))
+    assert payoff_vector(o, 2) == (Q(8), Q(4))
+    assert payoff_vector(Outcome(CoalitionStructure(()), ()), 3) == (ZERO,) * 3
+    with pytest.raises(GameError, match="payoff row of width 2 for 3 agents"):
+        payoff_vector(o, 3)
 
 
 def test_validate_structure_flags_over_capacity():

@@ -51,7 +51,7 @@ def test_game_from_knapsack_flips_the_decision():
         except GameError:
             continue
         game, outcome = reductions.from_knapsack(inst)
-        verdict = core.ttg_membership(game, outcome)
+        verdict = core.check_group_rationality(game, outcome)
         assert verdict.stable == (not reductions.knapsack_decision(inst)), inst
 
 

@@ -191,7 +191,7 @@ def _disjoint_multisets(draw):
         owner = [draw(st.integers(-1, 2)) for _ in range(n)]  # -1: in no group
         groups = [frozenset(j for j in range(n) if owner[j] == k) for k in range(3)]
         reqs = tuple(Requirement(grp, draw(_p_over_q)) for grp in groups if grp)
-        if reqs:
+        if any(req.minimum for req in reqs):  # a free rule is refused
             rules.append(Rule(reqs, Q(1)))
     if not rules:
         rules.append(Rule((Requirement(frozenset({0}), Q(1)),), Q(1)))
