@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence
+from typing import FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ocfgames import lp, welfare
 from ocfgames.model import (
@@ -129,25 +129,36 @@ def check_payoffs(
     """Stable iff every agent set is paid at least its standalone optimum.
 
     Threshold task games take the exact DP, which ignores ``cap`` and
-    ``grid``.  Other games enumerate all nonempty agent sets, searching each
-    standalone optimum at the given resolution; the witness is the first
+    ``grid``.  Other games take the first of :func:`short_sets`, the first
     violator in lexicographic order.
     """
     if isinstance(game, TTG):
         return ttg_payoff_membership(game, p)
+    for S, need, have in short_sets(game, p, cap, grid):
+        return CoreVerdict(
+            stable=False,
+            witness=S,
+            witness_value=need,
+            shortfall=need - have,
+        )
+    return CoreVerdict(stable=True)
+
+
+def short_sets(
+    game: Game, p: Sequence[Fraction], cap: Optional[int] = None, grid: int = 1
+) -> Iterator[tuple[FrozenSet[int], Fraction, Fraction]]:
+    """Every agent set S paid less than its standalone optimum at the given
+    resolution, as ``(S, vstar(S), p(S))`` in :func:`_subsets` order; p is
+    summed in integers over its common denominator."""
     if game.n > SUBSET_GUARD:
         raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
+    D = common_denominator(p)
+    ints = scaled(p, D)
     for S in _subsets(game.n):
         need = welfare.vstar(game, S, cap=cap, grid=grid)
-        have = sum((p[j] for j in S), ZERO)
-        if have < need:
-            return CoreVerdict(
-                stable=False,
-                witness=S,
-                witness_value=need,
-                shortfall=need - have,
-            )
-    return CoreVerdict(stable=True)
+        have = sum(ints[j] for j in S)
+        if have * need.denominator < need.numerator * D:
+            yield S, need, Q(have, D)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +176,6 @@ class MinPayoffTable:
     columns ``0..upto`` only.
     """
 
-    scale: int
     denom: int
     P: tuple[tuple[Optional[int], ...], ...]
 
@@ -175,23 +185,21 @@ class MinPayoffTable:
 
 
 class _Scaled(NamedTuple):
-    """One check's integers: weights in units of ``1/scale`` (``total`` in
-    all) and payoffs in units of ``1/denom``."""
+    """One check's integers beside the game's own integer view: the total
+    of ``game.scaled_weights`` and the payoffs in units of ``1/denom``."""
 
-    scale: int
     total: int
-    weights: tuple[int, ...]
     denom: int
     ints: tuple[int, ...]
 
 
 def _scale(game: TTG, payoffs: Sequence[Fraction]) -> _Scaled:
-    """The game's integer weights and the payoffs in integers; refuses a
-    game past ``DP_CELL_BUDGET`` (:func:`welfare.scaled_total_weight`)
+    """The game's total integer weight and the payoffs in integers; refuses
+    a game past ``DP_CELL_BUDGET`` (:func:`welfare.scaled_total_weight`)
     before anything else."""
     W = welfare.scaled_total_weight(game)
     D = common_denominator(payoffs)
-    return _Scaled(game.scale, W, game.scaled_weights, D, scaled(payoffs, D))
+    return _Scaled(W, D, scaled(payoffs, D))
 
 
 def min_payoff_table(
@@ -209,7 +217,7 @@ def min_payoff_table(
     # inside that prefix both branches of the recurrence are integers.
     row = [0]
     P = [tuple(row) + (None,) * top]
-    for wi, pi in zip(s.weights, s.ints):
+    for wi, pi in zip(game.scaled_weights, s.ints):
         shifted = row[:max(0, top + 1 - wi)]
         take = [x + pi for x in
                 itertools.chain(itertools.repeat(row[0], min(wi, top + 1)), shifted)]
@@ -217,10 +225,10 @@ def min_payoff_table(
         row = [a if a <= b else b for a, b in zip(row, take)]
         row += take[feasible:]
         P.append(tuple(row) + (None,) * (top + 1 - len(row)))
-    return MinPayoffTable(s.scale, s.denom, tuple(P))
+    return MinPayoffTable(s.denom, tuple(P))
 
 
-def _recover_cheap_subset(table: MinPayoffTable, s: _Scaled, w: int) -> FrozenSet[int]:
+def _recover_cheap_subset(game: TTG, table: MinPayoffTable, s: _Scaled, w: int) -> FrozenSet[int]:
     """Backtrack a subset attaining ``P[n][w]``; prefers leaving out the
     higher-index agent when both branches attain the minimum."""
     chosen = []
@@ -229,13 +237,13 @@ def _recover_cheap_subset(table: MinPayoffTable, s: _Scaled, w: int) -> FrozenSe
         if table.P[i - 1][w] == target:
             continue  # skip agent i-1
         chosen.append(i - 1)
-        w = max(0, w - s.weights[i - 1])
+        w = max(0, w - game.scaled_weights[i - 1])
         target -= s.ints[i - 1]
     return frozenset(chosen)
 
 
 def _greedy_bound(
-    s: _Scaled, steps: tuple[Sequence[int], Sequence[Fraction]]
+    game: TTG, s: _Scaled, steps: tuple[Sequence[int], Sequence[Fraction]]
 ) -> Optional[int]:
     """A weight at which some agent set is paid less than its value, or
     ``None`` when the greedy prefixes find none.
@@ -246,7 +254,7 @@ def _greedy_bound(
     first prefix paid less than the value of its weight certifies a
     shortfall at the smallest step weight whose value its payoff misses.
     """
-    weights, ints, D = s.weights, s.ints, s.denom
+    weights, ints, D = game.scaled_weights, s.ints, s.denom
     order = sorted(range(len(weights)), key=cmp_to_key(
         lambda i, j: ints[i] * weights[j] - ints[j] * weights[i] or i - j))
     step_weights, values = steps
@@ -277,7 +285,7 @@ def _first_shortfall(
     compared in integers.
     """
     s = _scale(game, p)
-    bound = _greedy_bound(s, steps)
+    bound = _greedy_bound(game, s, steps)
     table = min_payoff_table(game, p, upto=bound, scaled=s)
     cheapest, D = table.P[-1], s.denom
     last = len(cheapest) - 1
@@ -288,7 +296,7 @@ def _first_shortfall(
         if c * u.denominator < u.numerator * D:
             return CoreVerdict(
                 stable=False,
-                witness=_recover_cheap_subset(table, s, w),
+                witness=_recover_cheap_subset(game, table, s, w),
                 witness_value=u,
                 shortfall=u - Q(c, D),
             )

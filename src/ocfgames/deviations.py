@@ -40,7 +40,7 @@ from math import lcm, prod
 from typing import FrozenSet, Iterable, Optional, Sequence
 
 from ocfgames import lp, welfare
-from ocfgames.core import SUBSET_GUARD, CoreVerdict, _subsets
+from ocfgames.core import SUBSET_GUARD, CoreVerdict, _subsets, short_sets
 from ocfgames.model import (
     CoalitionStructure,
     Game,
@@ -211,6 +211,8 @@ class _Search:
         if any(j < 0 or j >= game.n for j in self.J):
             raise GameError(f"unknown deviators in {sorted(self.J)}")
         self.Js = tuple(sorted(self.J))
+        if cap is not None and cap < 0:
+            raise GameError(f"structure cap must be >= 0, got {cap}")
         self.cap = cap
         s = self.scaling = _scaling(game, outcome, grid)
         self.M, self.g, self.w, self.units = s.M, s.g, s.w, s.units
@@ -400,18 +402,13 @@ class _Search:
             yield score, structure
 
     def standalone_structure(self) -> CoalitionStructure:
-        """A TTG's canonical welfare-optimal structure of J on its own, as
-        full-width rows (every deviator in every coalition)."""
+        """A TTG's welfare-optimal structure of J on its own, from the game's
+        profile (:meth:`welfare.KnapsackProfile.standalone`)."""
         key = ("standalone", self.Js)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        game = self.game
-        sub = TTG(tuple(game.weights[j] for j in self.Js), game.tasks)
-        return self._remember(key, CoalitionStructure(tuple(
-            PartialCoalition(_embed(c.units, self.Js, (ZERO,) * game.n))
-            for c in welfare.canonical_structure(sub).coalitions
-        )))
+        return self._remember(key, welfare.knapsack_profile(self.game).standalone(self.Js)[1])
 
     def padded_structures(self) -> list:
         """:meth:`padded` of every structure at full capacity and budget
@@ -481,16 +478,6 @@ class _Search:
         return new_vecs, division[1]
 
 
-def _embed(
-    units: Iterable[Fraction], Js: Sequence[int], base: Sequence[Fraction]
-) -> list[Fraction]:
-    """A copy of the full-width row ``base`` with ``units`` at the positions ``Js``."""
-    row = list(base)
-    for j, u in zip(Js, units):
-        row[j] = u
-    return row
-
-
 def _grid_vectors(tops: Sequence[int], g: int) -> Iterable[tuple[int, ...]]:
     """Every vector of multiples of ``g`` with entry k at most ``tops[k]``;
     raises :class:`GameError` when there are more than RULE_VECTOR_LIMIT."""
@@ -529,14 +516,15 @@ def _divide_strictly(pools, floors, maximize=None):
     maximizes the margin, or agent ``maximize``'s total when given.  Returns
     (margin, per-pool share maps), or None when no split meets the floors,
     without solving when an agent with a positive floor is in no pool.
-    Without pools the answer is (0, []).  The one question answered without
-    the program is :func:`_equal_margin_split`'s.
+    Without pools the answer is the program's: the least ``-floor`` (0
+    without floors) and no shares.  The one question answered without the
+    program is :func:`_equal_margin_split`'s.
     """
     supported = {j for _, sup in pools for j in sup}
     if any(f > 0 and j not in supported for j, f in floors.items()):
         return None
     if not pools:
-        return ZERO, []
+        return min((-f for f in floors.values()), default=ZERO), []
     if maximize is None and len(pools) == 1:
         split = _equal_margin_split(pools[0], floors)
         if split is not None:
@@ -649,23 +637,29 @@ def find_c_deviation(
 
     For threshold task games the decision is exact regardless of the grid:
     the group profits iff its standalone optimum exceeds its current total
-    payoff, and a witness structure with every deviator in every coalition
-    always exists.  Rule-based games use the generic grid search.
+    payoff (iff every member's total is negative, when that optimum is 0),
+    and a witness structure with every deviator in every coalition always
+    exists.  Rule-based games use the generic grid search.
     """
     ctx = _Search(game, outcome, J, cap, grid)
     resolution = _resolution(cap, grid)
     everything = tuple(range(len(outcome.structure)))
     if isinstance(game, TTG):
         best = welfare.vstar(game, ctx.J)
-        total_p = sum(ctx.pJ.values(), ZERO)
-        if best <= total_p:
+        if best:
+            surplus = (best - sum(ctx.pJ.values(), ZERO)) / len(ctx.Js)
+            gains = {j: surplus for j in ctx.Js}
+        else:
+            # nothing to share: as in the division program, J deviates only
+            # when every member's total is negative, and each gains its lack
+            gains = {j: -x for j, x in ctx.pJ.items()}
+        if any(gain <= 0 for gain in gains.values()):
             return DeviationResult(found=False, resolution=resolution)
         structure = ctx.standalone_structure()
-        surplus = (best - total_p) / len(ctx.Js)
-        target = {j: ctx.pJ[j] + surplus for j in ctx.Js}
         rows = tuple(
             tuple(
-                target[j] * game.value(c.units) / best if j in ctx.J else ZERO
+                (ctx.pJ[j] + gains[j]) * game.value(c.units) / best
+                if best and j in ctx.J else ZERO
                 for j in range(game.n)
             )
             for c in structure.coalitions
@@ -678,8 +672,7 @@ def find_c_deviation(
             new_structure=structure,
         )
         return DeviationResult(
-            found=True, plan=plan, payoffs=rows,
-            gains={j: surplus for j in ctx.Js}, resolution=resolution,
+            found=True, plan=plan, payoffs=rows, gains=gains, resolution=resolution,
         )
     caps = ctx.full_caps()
     candidates = [
@@ -841,7 +834,8 @@ def core_membership(
     game: Game, outcome: Outcome, kind: str,
     cap: Optional[int] = None, grid: int = 1,
 ) -> CoreVerdict:
-    """Grid-exhaustive membership: try every nonempty deviator set.
+    """Grid-exhaustive membership: try every nonempty deviator set (kind c:
+    every set :func:`core.short_sets` yields).
 
     Sets are visited smallest-first, lexicographically within a size; the
     verdict records the search resolution.
@@ -851,16 +845,14 @@ def core_membership(
     if game.n > SUBSET_GUARD:
         raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
     find = FINDERS[kind]
-    scaling = _scaling(game, outcome, grid)
-    p = scaling.p
-    # on a TTG a set c-deviates iff vstar(S) > p(S), so only the first such
-    # set is searched, for its witness plan
-    exact_c = kind == "c" and isinstance(game, TTG)
-    for S in _subsets(game.n):
-        if exact_c:
-            v = welfare.vstar(game, S)
-            if v.numerator * scaling.D <= sum(scaling.pD[j] for j in S) * v.denominator:
-                continue
+    p = _scaling(game, outcome, grid).p
+    if kind == "c":
+        # a c plan of at most cap coalitions earns at most vstar(S, cap), so
+        # only the sets paid less than that can deviate
+        sets = (S for S, _, _ in short_sets(game, p, cap, grid))
+    else:
+        sets = _subsets(game.n)
+    for S in sets:
         result = find(game, outcome, S, cap=cap, grid=grid)
         if result.found:
             gains = list(result.gains.values())

@@ -107,10 +107,7 @@ def aubin_core_check(game: TTG, p: Sequence[Fraction]) -> FuzzyCheckReport:
     best_gap = ZERO
     best = None
     for W in range(1, total + 1):
-        hit = _min_cost_profile(costs, caps, W)
-        if hit is None:
-            continue
-        cost, vec = hit
+        cost, vec = _min_cost_profile(costs, caps, W)  # W <= sum(caps) = total
         gap = profile.utilities[W] - cost
         if gap > best_gap:
             prop = [Q(W) * c / total for c in caps]

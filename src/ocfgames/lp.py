@@ -188,16 +188,15 @@ def _run_simplex(
     basis: list[int],
     cost: Sequence[int],
     cd: int,
-    blocked: frozenset[int],
 ) -> tuple[str, list[int], int]:
-    """Minimize ``cost / cd`` over the tableau in place; returns (status,
-    reduced costs as ints over a positive denominator)."""
+    """Minimize ``cost / cd`` over the tableau's first ``len(cost)`` columns
+    in place; returns (status, reduced costs as ints over a positive denominator)."""
     z, dz = _objective_row(rows, dens, basis, cost, cd)
-    ncols = len(rows[0]) - 1
+    ncols = len(cost)
     while True:
         enter = -1
         for j in range(ncols):
-            if j not in blocked and z[j] < 0:
+            if z[j] < 0:
                 enter = j
                 break
         if enter < 0:
@@ -226,12 +225,11 @@ def solve(program: LinearProgram) -> LPResult:
     for j in sorted(program.free):
         mirror[j] = col
         col += 1
-    if not program.constraints:
-        return _solve_unconstrained(program)
     nslack = sum(1 for _, rel, _ in program.constraints if rel != "==")
     nstruct = col
+    nreal = nstruct + nslack
     m = len(program.constraints)
-    ncols = nstruct + nslack + m  # + artificials, one per row
+    ncols = nreal + m  # + artificials, one per row
     rows: list[list[int]] = []
     dens: list[int] = []
     signs: list[int] = []
@@ -250,39 +248,32 @@ def solve(program: LinearProgram) -> LPResult:
             row[nstruct + si] = sign * d if rel == "<=" else -sign * d
             si += 1
         row[-1] = sign * rhs.numerator * (d // rhs.denominator)
-        row[nstruct + nslack + i] = d
+        row[nreal + i] = d
         rows.append(row)
         dens.append(d)
         signs.append(sign)
-    artificials = frozenset(range(nstruct + nslack, ncols))
-    basis = list(range(nstruct + nslack, ncols))
+    basis = list(range(nreal, ncols))
 
-    cost1 = [0] * ncols
-    for j in artificials:
-        cost1[j] = 1
-    status, z, dz = _run_simplex(rows, dens, basis, cost1, 1, frozenset())
+    status, z, dz = _run_simplex(rows, dens, basis, [0] * nreal + [1] * m, 1)
     if status != "optimal":
         raise AssertionError(f"phase 1 ended {status}; it is bounded below by 0")
     if z[-1] < 0:  # the phase-1 objective value, -z[-1]/dz, is positive
-        cert = tuple(
-            signs[i] * Q(dz - z[nstruct + nslack + i], dz) for i in range(m)
-        )
+        cert = tuple(signs[i] * Q(dz - z[nreal + i], dz) for i in range(m))
         if not verify_infeasibility(program, cert):
             raise AssertionError("phase 1 produced an invalid Farkas certificate")
         return LPResult(status="infeasible", certificate=cert)
 
-    # drive leftover artificials out of the basis; drop redundant rows
+    # drive leftover artificials out of the basis, drop redundant rows, then
+    # the artificial columns: phase 2 never lets one enter
     keep: list[int] = []
     for i in range(len(rows)):
-        if basis[i] in artificials:
-            piv = next(
-                (j for j in range(nstruct + nslack) if rows[i][j] != 0), None
-            )
+        if basis[i] >= nreal:
+            piv = next((j for j in range(nreal) if rows[i][j] != 0), None)
             if piv is None:
                 continue  # redundant row
             _pivot(rows, dens, basis, i, piv)
         keep.append(i)
-    rows = [rows[i] for i in keep]
+    rows = [rows[i][:nreal] + rows[i][-1:] for i in keep]
     dens = [dens[i] for i in keep]
     basis = [basis[i] for i in keep]
 
@@ -292,32 +283,20 @@ def solve(program: LinearProgram) -> LPResult:
         return LPResult(status="feasible", assignment=x)
 
     coeffs, sense = program.objective
-    cost2 = [ZERO] * ncols
+    cost2 = [ZERO] * nreal
     for j, a in enumerate(coeffs):
         a = Q(a) if sense == "min" else -Q(a)
         cost2[j] = a
         if j in mirror:
             cost2[mirror[j]] = -a
     cd = common_denominator(cost2)
-    status, z, dz = _run_simplex(rows, dens, basis, scaled(cost2, cd), cd, artificials)
+    status, z, dz = _run_simplex(rows, dens, basis, scaled(cost2, cd), cd)
     if status == "unbounded":
         return LPResult(status="unbounded")
     x = _assignment(rows, dens, basis, n, mirror)
     _check_feasible(program, x)
     obj = sum((Q(a) * v for a, v in zip(coeffs, x)), ZERO)
     return LPResult(status="optimal", assignment=x, objective_value=obj)
-
-
-def _solve_unconstrained(program: LinearProgram) -> LPResult:
-    x = (ZERO,) * len(program.names)
-    if program.objective is None:
-        return LPResult(status="feasible", assignment=x)
-    coeffs, sense = program.objective
-    for j, a in enumerate(coeffs):
-        a = Q(a) if sense == "min" else -Q(a)
-        if a < 0 or (a != 0 and j in program.free):
-            return LPResult(status="unbounded")
-    return LPResult(status="optimal", assignment=x, objective_value=ZERO)
 
 
 def _assignment(rows, dens, basis, n, mirror) -> tuple[Fraction, ...]:

@@ -33,7 +33,7 @@ from ocfgames.rationals import Q, scaled
 ZERO = Q(0)
 # Cache budgets (entries, least recently used evicted first): profiles are
 # one per game and can hold thousands of cells each; standalone optima are
-# one per (game, agent set, cap) and small.
+# one per (game, agent set), and per cap on a rule-based game, and small.
 PROFILE_CACHE_SIZE = 256
 VSTAR_CACHE_SIZE = 1024
 # Budget on (n + 1) * (W + 1), the cells of the largest table a
@@ -118,28 +118,34 @@ class KnapsackProfile:
         weights = [1] + [w for w in range(2, len(U)) if U[w] > U[w - 1]]
         return tuple(weights), tuple(U[w] for w in weights)
 
+    def standalone(self, agents: Iterable[int]) -> tuple[tuple[int, ...], CoalitionStructure]:
+        """The task multiset :meth:`recover_tasks` gives the pooled weight of
+        ``agents``, and its structure: one coalition per task copy (copies
+        share one object), then one for the leftover weight, each funded by
+        every member of ``agents`` in proportion to weight."""
+        game = self.game
+        S = frozenset(agents)
+        chosen = self.recover_tasks(sum(game.scaled_weights[j] for j in S))
+        total = game.total_weight(S)
+
+        def funded(amount: Fraction) -> PartialCoalition:
+            return PartialCoalition(tuple(
+                w * amount / total if j in S else ZERO for j, w in enumerate(game.weights)
+            ))
+
+        per_task = {j: funded(game.tasks[j].threshold) for j in set(chosen)}
+        coalitions = [per_task[j] for j in chosen]
+        leftover = total - sum((game.tasks[j].threshold for j in chosen), ZERO)
+        if leftover > 0:
+            coalitions.append(funded(leftover))
+        return chosen, CoalitionStructure(tuple(coalitions))
+
     @cached_property
     def optimum(self) -> tuple[Fraction, tuple[int, ...], CoalitionStructure]:
         """What :func:`max_welfare_overlapping` returns for the profile's game."""
-        game = self.game
-        chosen = self.recover_tasks(self.limit)
-        counts = tuple(chosen.count(j) for j in range(len(game.tasks)))
-        total = game.total_weight()
-        # copies of one task share a single coalition object
-        per_task = {
-            j: PartialCoalition(
-                tuple(w * game.tasks[j].threshold / total for w in game.weights)
-            )
-            for j in set(chosen)
-        }
-        coalitions = [per_task[j] for j in chosen]
-        used = sum((game.tasks[j].threshold for j in chosen), ZERO)
-        leftover = total - used
-        if leftover > 0:
-            coalitions.append(
-                PartialCoalition(tuple(w * leftover / total for w in game.weights))
-            )
-        return self.utilities[self.limit], counts, CoalitionStructure(tuple(coalitions))
+        chosen, cs = self.standalone(range(self.game.n))
+        counts = tuple(chosen.count(j) for j in range(len(self.game.tasks)))
+        return self.utilities[self.limit], counts, cs
 
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
@@ -234,12 +240,15 @@ def vstar(
     weight); ``cap`` and ``grid`` are ignored.  For rule-based games ``cap``
     bounds the number of coalitions (rule instances); ``grid`` is accepted
     for interface symmetry but unused, because once a rule multiset is fixed
-    feasible contributions form a polyhedron checked exactly.
+    feasible contributions form a polyhedron checked exactly.  A negative
+    ``cap`` raises :class:`GameError` on either kind of game.
     """
     S = frozenset(agents)
     if any(j < 0 or j >= game.n for j in S):
         raise GameError(f"unknown agents in {sorted(S)}")
-    return _vstar_cached(game, S, cap)
+    if cap is not None and cap < 0:
+        raise GameError(f"structure cap must be >= 0, got {cap}")
+    return _vstar_cached(game, S, None if isinstance(game, TTG) else cap)
 
 
 @lru_cache(maxsize=VSTAR_CACHE_SIZE)

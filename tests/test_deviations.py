@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import random_outcome, random_ttg
-from ocfgames import convexity, core, corpus, deviations
+from ocfgames import convexity, core, corpus, deviations, welfare
 from ocfgames.model import (
     TTG,
     CoalitionStructure,
@@ -162,6 +162,97 @@ def test_membership_and_direct_check_agree_for_conservative_kind():
         assert by_search.stable == by_subsets.stable
 
 
+def _negative_cap_calls():
+    g = corpus.two_company_game()
+    x = Outcome(CoalitionStructure((PartialCoalition((Q(4), Q(6))),)), ((Q(6), Q(9)),))
+    rules = corpus.four_escorts_game()
+    nothing = Outcome(CoalitionStructure(()), ())
+    calls = {f"membership-{kind}": (deviations.core_membership, (g, x, kind))
+             for kind in "cro"}
+    calls.update({f"find-{kind}": (deviations.FINDERS[kind], (g, x, {0, 1}))
+                  for kind in "cro"})
+    calls["group-rationality"] = (core.check_group_rationality, (rules, nothing))
+    calls["falsifier"] = (convexity.falsify_convexity, (g,))
+    calls["greedy"] = (convexity.construct_core_element, (g, [0, 1]))
+    return calls
+
+
+_NEGATIVE_CAP_CALLS = _negative_cap_calls()
+
+
+@pytest.mark.parametrize("name", sorted(_NEGATIVE_CAP_CALLS))
+def test_a_negative_cap_is_refused(name):
+    call, args = _NEGATIVE_CAP_CALLS[name]
+    with pytest.raises(GameError, match="cap"):
+        call(*args, cap=-1)
+
+
+def _signed_outcome(weights, threshold, utility, rows):
+    """One TTG task, a coalition of every agent's unit of weight per payoff
+    row, and the rows as (possibly negative) payoffs."""
+    game = TTG(tuple(Q(w) for w in weights), (TaskType(Q(threshold), Q(utility)),))
+    units = PartialCoalition((Q(1),) * len(weights))
+    structure = CoalitionStructure((units,) * len(rows))
+    return game, Outcome(structure, tuple(tuple(map(Q, row)) for row in rows),
+                         allow_negative=True)
+
+
+def test_a_refined_deviator_may_keep_only_what_beats_its_total():
+    # agent 1 is paid -1 + 5 = 4; keeping only coalition 2 pays it 5
+    game, x = _signed_outcome((2, 2), 2, 4, [(-1, 5), (5, -1)])
+    verdict = deviations.core_membership(game, x, "r", cap=3)
+    assert not verdict.stable and verdict.witness == {0}
+    plan = verdict.deviation.plan
+    assert (plan.kept, plan.abandoned, plan.new_structure.coalitions) == ((1,), (0,), ())
+    assert verdict.deviation.gains == {0: 1} and verdict.deviation.payoffs == ()
+    assert deviations.find_o_deviation(game, x, {0}, cap=3).found
+
+
+def test_a_conservative_group_with_no_value_gains_only_if_every_total_is_negative():
+    # alone or together, agents 1 and 2 (weight 2 < 3) earn nothing
+    game, x = _signed_outcome((1, 1, 1), 3, 6, [(-2, 1, 7)])
+    assert not deviations.find_c_deviation(game, x, {0, 1}).found
+    result = deviations.find_c_deviation(game, x, {0})
+    assert result.found and result.gains == {0: 2}
+    assert result.payoffs == ((ZERO, ZERO, ZERO),)
+    assert result.plan.new_structure.coalitions == (PartialCoalition((Q(1), ZERO, ZERO)),)
+    # the division program gives the same answers
+    assert deviations._divide_strictly([(ZERO, (0, 1))], {0: Q(-2), 1: Q(1)}) is None
+    assert deviations._divide_strictly([(ZERO, (0,))], {0: Q(-2)})[0] == 2
+    verdict = deviations.core_membership(game, x, "c")
+    assert verdict.witness == {0} and verdict.shortfall == 2
+
+
+def test_rule_game_c_membership_searches_only_short_sets(monkeypatch):
+    """``FINDERS["c"]`` sees exactly the sets paid less than ``vstar(S,
+    cap)``, in order, up to the first that deviates."""
+    searched = []
+    find = deviations.FINDERS["c"]
+
+    def counting(game, outcome, S, **kwargs):
+        searched.append(frozenset(S))
+        return find(game, outcome, S, **kwargs)
+
+    monkeypatch.setitem(deviations.FINDERS, "c", counting)
+    rng = random.Random(23)
+    skipped = missed = 0
+    for _ in range(200):
+        game = _random_rule_game(rng)
+        outcome = _random_split_outcome(rng, game)
+        cap = rng.choice((1, 2, 3))
+        p = payoff_vector(outcome, game.n)
+        searched.clear()
+        verdict = deviations.core_membership(game, outcome, "c", cap=cap)
+        everything = [frozenset(S) for k in range(1, game.n + 1)
+                      for S in itertools.combinations(range(game.n), k)]
+        short = [S for S in everything
+                 if welfare.vstar(game, S, cap=cap) > sum((p[j] for j in S), ZERO)]
+        expected = short if verdict.stable else short[:short.index(verdict.witness) + 1]
+        assert searched == expected
+        skipped += len(everything) > len(searched)
+        missed += len(expected) - (not verdict.stable)
+    assert skipped and missed  # some sets are never searched; some short sets hold
+
 def _rationals(lo, hi):
     return st.builds(Q, st.integers(min_value=lo, max_value=hi),
                      st.integers(min_value=1, max_value=3))
@@ -169,13 +260,13 @@ def _rationals(lo, hi):
 
 @st.composite
 def division_instances(draw):
-    """Pools over up to four agents, and floors on some of them (agents in
-    no pool included)."""
+    """Up to four pools over up to four agents (none included), and floors
+    on some of the agents (agents in no pool included)."""
     n = draw(st.integers(min_value=1, max_value=4))
     agents = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)
     pools = draw(st.lists(
         st.tuples(_rationals(0, 12), agents.map(lambda S: tuple(sorted(S)))),
-        min_size=1, max_size=4,
+        max_size=4,
     ))
     floored = sorted(draw(agents))
     floors = {j: draw(_rationals(-6, 10)) for j in floored}

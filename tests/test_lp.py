@@ -69,6 +69,28 @@ def test_feasibility_without_objective_returns_feasible_point():
     assert x + y >= 2 and x <= 5 and x >= 0 and y >= 0
 
 
+
+_ORIGIN = lp.LPResult("optimal", (ZERO, ZERO), ZERO)
+
+
+@pytest.mark.parametrize("objective, free, expected", [
+    (None, (), lp.LPResult("feasible", (ZERO, ZERO))),
+    (None, (0, 1), lp.LPResult("feasible", (ZERO, ZERO))),
+    (((Q(1), ZERO), "max"), (), lp.LPResult("unbounded")),
+    (((Q(-1), Q(-2)), "max"), (), _ORIGIN),
+    (((ZERO, ZERO), "max"), (), _ORIGIN),
+    (((Q(1), Q(2)), "min"), (), _ORIGIN),
+    (((Q(1), Q(-1, 2)), "min"), (), lp.LPResult("unbounded")),
+    # a free variable with any nonzero cost runs off in one direction
+    (((Q(-1), ZERO), "max"), (0,), lp.LPResult("unbounded")),
+    (((ZERO, Q(3)), "min"), (1,), lp.LPResult("unbounded")),
+    (((ZERO, Q(3)), "min"), (0,), _ORIGIN),
+], ids=["feasible", "feasible-free", "max-rising", "max-falling", "max-zero",
+        "min-rising", "min-falling", "free-max", "free-min", "free-zero-cost"])
+def test_a_program_without_constraints_is_solved_at_the_origin(objective, free, expected):
+    program = lp.LinearProgram(("x", "y"), (), objective, frozenset(free))
+    assert lp.solve(program) == expected
+
 def _random_program(rng: random.Random) -> lp.LinearProgram:
     n = rng.randint(1, 4)
     m = rng.randint(1, 5)

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import brute_best_utility, random_ttg
 from ocfgames import corpus, welfare
 from ocfgames.model import (
+    CoalitionStructure,
     GameError,
+    PartialCoalition,
     Requirement,
     Rule,
     RuleBasedGame,
@@ -124,6 +126,52 @@ def test_vstar_rejects_unknown_agents():
     with pytest.raises(GameError):
         welfare.vstar(corpus.two_company_game(), {5})
 
+
+
+def test_vstar_refuses_a_negative_cap():
+    for game in (corpus.four_escorts_game(), corpus.two_company_game()):
+        with pytest.raises(GameError, match="cap"):
+            welfare.vstar(game, range(game.n), cap=-1)
+
+
+def test_vstar_on_a_ttg_keeps_one_cache_entry_for_every_cap():
+    g = corpus.two_company_game()
+    welfare._vstar_cached.cache_clear()
+    assert {welfare.vstar(g, {0, 1}, cap=cap) for cap in (None, 0, 1, 2)} == {Q(30)}
+    assert welfare._vstar_cached.cache_info().misses == 1
+
+
+@st.composite
+def _integer_and_pq_ttgs(draw):
+    """Small TTGs, about half with p/q weights and thresholds."""
+    den = st.sampled_from((1, 2, 3)) if draw(st.booleans()) else st.just(1)
+    weights = draw(st.lists(st.builds(Q, st.integers(1, 6), den), min_size=1, max_size=4))
+    tasks = draw(st.lists(st.builds(TaskType, st.builds(Q, st.integers(1, 9), den),
+                                    st.builds(Q, st.integers(1, 20), st.integers(1, 2))),
+                          min_size=1, max_size=3))
+    return TTG(tuple(weights), tuple(tasks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_and_pq_ttgs())
+def test_standalone_matches_the_canonical_structure_of_the_sub_game(game):
+    """The game's own profile gives every agent set J the structure that the
+    sub-game of J's weights would, embedded at full width."""
+    profile = welfare.knapsack_profile(game)
+    for k in range(1, game.n + 1):
+        for J in itertools.combinations(range(game.n), k):
+            sub = TTG(tuple(game.weights[j] for j in J), game.tasks)
+            sub_profile = welfare.knapsack_profile(sub)
+            reference = welfare.canonical_structure(sub).coalitions
+            chosen, cs = profile.standalone(J)
+            assert chosen == sub_profile.recover_tasks(sub_profile.limit)
+            assert cs == CoalitionStructure(tuple(
+                PartialCoalition(tuple(c.units[J.index(j)] if j in J else ZERO
+                                       for j in range(game.n)))
+                for c in reference
+            ))
+            # copies of one task share one coalition object, as in the reference
+            assert len({id(c) for c in cs.coalitions}) == len({id(c) for c in reference})
 
 def test_rule_based_vstar_respects_the_structure_cap():
     g = corpus.four_escorts_game()
