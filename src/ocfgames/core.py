@@ -97,7 +97,10 @@ class CoreVerdict:
 
 
 def _subsets(n: int) -> Iterable[FrozenSet[int]]:
-    """All nonempty agent sets, lexicographically by sorted member tuple."""
+    """All nonempty agent sets, lexicographically by sorted member tuple;
+    more than ``SUBSET_GUARD`` agents raise :class:`GameError`."""
+    if n > SUBSET_GUARD:
+        raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
     if n <= SHARED_SUBSETS_MAX_N:
         return _shared_subsets(n)
     return _agent_sets(n)
@@ -130,8 +133,11 @@ def check_payoffs(
 
     Threshold task games take the exact DP, which ignores ``cap`` and
     ``grid``.  Other games take the first of :func:`short_sets`, the first
-    violator in lexicographic order.
+    violator in lexicographic order.  A negative ``cap`` raises
+    :class:`GameError` on either kind of game.
     """
+    if cap is not None and cap < 0:
+        raise GameError(f"structure cap must be >= 0, got {cap}")
     if isinstance(game, TTG):
         return ttg_payoff_membership(game, p)
     for S, need, have in short_sets(game, p, cap, grid):
@@ -150,8 +156,6 @@ def short_sets(
     """Every agent set S paid less than its standalone optimum at the given
     resolution, as ``(S, vstar(S), p(S))`` in :func:`_subsets` order; p is
     summed in integers over its common denominator."""
-    if game.n > SUBSET_GUARD:
-        raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
     D = common_denominator(p)
     ints = scaled(p, D)
     for S in _subsets(game.n):

@@ -40,7 +40,7 @@ from math import lcm, prod
 from typing import FrozenSet, Iterable, Optional, Sequence
 
 from ocfgames import lp, welfare
-from ocfgames.core import SUBSET_GUARD, CoreVerdict, _subsets, short_sets
+from ocfgames.core import CoreVerdict, _subsets, short_sets
 from ocfgames.model import (
     CoalitionStructure,
     Game,
@@ -457,7 +457,7 @@ class _Search:
 
         Pads the candidate's new coalitions (:meth:`padded`), then asks
         :func:`_divide_strictly` for the split with the largest common gain.
-        Returns (new vectors, per-pool share maps) or None.  Padding never
+        Returns (new structure, per-pool share maps) or None.  Padding never
         lowers a value, so the padded plan still totals above p(J).
         """
         D = self.scaling.D
@@ -475,7 +475,10 @@ class _Search:
         division = _divide_strictly(pools, floors)
         if division is None or division[0] <= 0:
             return None
-        return new_vecs, division[1]
+        structure = CoalitionStructure(
+            tuple(PartialCoalition(self.scaled_row(vec)) for vec in new_vecs)
+        )
+        return structure, division[1]
 
 
 def _grid_vectors(tops: Sequence[int], g: int) -> Iterable[tuple[int, ...]]:
@@ -510,23 +513,24 @@ def _divide_strictly(pools, floors, maximize=None):
     """Split pooled values among their supporters so that each agent in
     ``floors`` gets its floor plus a common nonnegative margin.
 
-    ``pools`` holds (amount, supporters) pairs; ``floors`` maps agents to
-    floors, in row order.  The program has one equality per pool, the margin
-    column, and one row ``shares(j) - margin >= floors[j]`` per agent; it
-    maximizes the margin, or agent ``maximize``'s total when given.  Returns
-    (margin, per-pool share maps), or None when no split meets the floors,
-    without solving when an agent with a positive floor is in no pool.
-    Without pools the answer is the program's: the least ``-floor`` (0
-    without floors) and no shares.  The one question answered without the
-    program is :func:`_equal_margin_split`'s.
+    Every deviation is split here, a TTG's c witness included.  ``pools``
+    holds (amount, supporters) pairs; ``floors`` maps agents to floors, in
+    row order.  The program has one equality per pool, the margin column,
+    and one row ``shares(j) - margin >= floors[j]`` per agent, and no share
+    is negative; it maximizes the margin, or agent ``maximize``'s total when
+    given.  Returns (margin, per-pool share maps), or None when no split
+    meets the floors, without solving when an agent with a positive floor is
+    in no pool.  Without pools the answer is the program's: the least
+    ``-floor`` (0 without floors) and no shares.  The one question answered
+    without the program is :func:`_equal_margin_split`'s.
     """
     supported = {j for _, sup in pools for j in sup}
     if any(f > 0 and j not in supported for j, f in floors.items()):
         return None
     if not pools:
         return min((-f for f in floors.values()), default=ZERO), []
-    if maximize is None and len(pools) == 1:
-        split = _equal_margin_split(pools[0], floors)
+    if maximize is None:
+        split = _equal_margin_split(pools, floors)
         if split is not None:
             return split
     builder = lp.ProgramBuilder()
@@ -549,31 +553,34 @@ def _divide_strictly(pools, floors, maximize=None):
     return x["eps"], [{j: x[c, j] for j in sup} for c, (_, sup) in enumerate(pools)]
 
 
-def _equal_margin_split(pool, floors):
-    """The margin-maximizing split of one pool of amount A among exactly the
-    k floored agents, or None when this closed form does not apply.
+def _equal_margin_split(pools, floors):
+    """The margin-maximizing split of pools of total amount A, each shared
+    by exactly the k floored agents, or None when this closed form does not
+    apply.
 
-    Every share is at least its floor plus the margin and the shares sum to
-    A, so the margin is at most e = (A - sum of floors) / k, and e is reached
-    only by paying each agent its floor plus e.  That is the unique optimum
-    of the division program when e >= 0 and every floor plus e is >= 0 (a
-    share cannot be negative); otherwise the program decides.
+    Every agent's total is at least its floor plus the margin and the totals
+    sum to A, so the margin is at most e = (A - sum of floors) / k, and e is
+    reached only by paying each agent its floor plus e.  Every optimum of the
+    division program does so when e >= 0 and every floor plus e is >= 0 (a
+    share cannot be negative); otherwise the program decides.  Each pool is
+    split in proportion to its amount, so with several pools the rows may be
+    another optimal vertex than the program's.
     """
-    amount, sup = pool
-    if floors.keys() != set(sup):
+    agents = floors.keys()
+    if any(agents != set(sup) for _, sup in pools):
         return None
-    eps = (amount - sum(floors.values(), ZERO)) / len(sup)
+    total = sum((amount for amount, _ in pools), ZERO)
+    eps = (total - sum(floors.values(), ZERO)) / len(agents)
     if eps < 0:
         return None
-    shares = {}
-    for j in sup:
-        share = floors[j] + eps
-        if share < 0:
-            return None
-        shares[j] = share
-    if sum(shares.values(), ZERO) != amount:
-        raise ArithmeticError(f"closed-form division of {amount} does not add up: {shares}")
-    return eps, [shares]
+    owed = {j: floor + eps for j, floor in floors.items()}
+    if any(x < 0 for x in owed.values()):
+        return None
+    # the totals add up to A, so each pool's shares add up to its amount
+    if sum(owed.values(), ZERO) != total:
+        raise ArithmeticError(f"closed-form division of {total} does not add up: {owed}")
+    return eps, [{j: owed[j] * amount / total if amount else ZERO for j in sup}
+                 for amount, sup in pools]
 
 
 def _try_best_first(ctx: _Search, candidates: list[_Candidate], resolution):
@@ -582,12 +589,12 @@ def _try_best_first(ctx: _Search, candidates: list[_Candidate], resolution):
     for cand in sorted(candidates, key=lambda cand: -cand.score):
         hit = ctx.try_candidate(cand)
         if hit is not None:
-            return _package(ctx, cand, hit, resolution)
+            return _package(ctx, cand, *hit, resolution)
     return DeviationResult(found=False, resolution=resolution)
 
 
-def _package(ctx: _Search, cand: _Candidate, hit, resolution) -> DeviationResult:
-    new_vecs, division = hit
+def _package(ctx: _Search, cand: _Candidate, new_structure: CoalitionStructure,
+             division, resolution) -> DeviationResult:
     n = ctx.game.n
     same: dict[Fraction, Fraction] = {}
     keep = lambda x: same.setdefault(x, x)  # equal Fractions of the result: one object
@@ -604,9 +611,7 @@ def _package(ctx: _Search, cand: _Candidate, hit, resolution) -> DeviationResult
         kept=tuple(sorted(cand.kept)),
         abandoned=tuple(sorted(cand.abandoned)),
         modified=modified_full,
-        new_structure=CoalitionStructure(
-            tuple(PartialCoalition(ctx.scaled_row(vec)) for vec in new_vecs)
-        ),
+        new_structure=new_structure,
     )
     gains = {}
     for j in ctx.Js:
@@ -636,44 +641,22 @@ def find_c_deviation(
     """Deviators abandon everything and form coalitions among themselves.
 
     For threshold task games the decision is exact regardless of the grid:
-    the group profits iff its standalone optimum exceeds its current total
-    payoff (iff every member's total is negative, when that optimum is 0),
-    and a witness structure with every deviator in every coalition always
-    exists.  Rule-based games use the generic grid search.
+    no structure of J totals more than its welfare-optimal one, whose every
+    coalition holds every deviator, so J deviates iff :func:`_divide_strictly`
+    splits that structure's values with a positive margin.  Rule-based games
+    use the generic grid search.
     """
     ctx = _Search(game, outcome, J, cap, grid)
     resolution = _resolution(cap, grid)
     everything = tuple(range(len(outcome.structure)))
     if isinstance(game, TTG):
-        best = welfare.vstar(game, ctx.J)
-        if best:
-            surplus = (best - sum(ctx.pJ.values(), ZERO)) / len(ctx.Js)
-            gains = {j: surplus for j in ctx.Js}
-        else:
-            # nothing to share: as in the division program, J deviates only
-            # when every member's total is negative, and each gains its lack
-            gains = {j: -x for j, x in ctx.pJ.items()}
-        if any(gain <= 0 for gain in gains.values()):
-            return DeviationResult(found=False, resolution=resolution)
         structure = ctx.standalone_structure()
-        rows = tuple(
-            tuple(
-                (ctx.pJ[j] + gains[j]) * game.value(c.units) / best
-                if best and j in ctx.J else ZERO
-                for j in range(game.n)
-            )
-            for c in structure.coalitions
-        )
-        plan = DeviationPlan(
-            deviators=ctx.J,
-            kept=(),
-            abandoned=everything,
-            modified=(),
-            new_structure=structure,
-        )
-        return DeviationResult(
-            found=True, plan=plan, payoffs=rows, gains=gains, resolution=resolution,
-        )
+        pools = [(game.value(c.units), tuple(sorted(c.support))) for c in structure.coalitions]
+        division = _divide_strictly(pools, ctx.pJ)
+        if division is None or division[0] <= 0:
+            return DeviationResult(found=False, resolution=resolution)
+        cand = _Candidate(0, {}, (), (), (), abandoned=everything)
+        return _package(ctx, cand, structure, division[1], resolution)
     caps = ctx.full_caps()
     candidates = [
         _Candidate(score, {}, (), caps, structure, abandoned=everything)
@@ -842,8 +825,6 @@ def core_membership(
     """
     if kind not in FINDERS:
         raise GameError(f"unknown core kind {kind!r}")
-    if game.n > SUBSET_GUARD:
-        raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
     find = FINDERS[kind]
     p = _scaling(game, outcome, grid).p
     if kind == "c":

@@ -172,6 +172,7 @@ def _negative_cap_calls():
     calls.update({f"find-{kind}": (deviations.FINDERS[kind], (g, x, {0, 1}))
                   for kind in "cro"})
     calls["group-rationality"] = (core.check_group_rationality, (rules, nothing))
+    calls["group-rationality-ttg"] = (core.check_group_rationality, (g, x))
     calls["falsifier"] = (convexity.falsify_convexity, (g,))
     calls["greedy"] = (convexity.construct_core_element, (g, [0, 1]))
     return calls
@@ -221,6 +222,67 @@ def test_a_conservative_group_with_no_value_gains_only_if_every_total_is_negativ
     assert deviations._divide_strictly([(ZERO, (0,))], {0: Q(-2)})[0] == 2
     verdict = deviations.core_membership(game, x, "c")
     assert verdict.witness == {0} and verdict.shortfall == 2
+
+
+def test_a_conservative_share_is_never_negative():
+    # J = {1, 2} earns 12 alone and is paid 11 in all, but agent 1 (paid
+    # -10) would need a negative share for agent 2 (paid 21) to gain
+    game, x = _signed_outcome((1, 1), 2, 12, [(-10, 21)])
+    assert deviations._divide_strictly([(Q(12), (0, 1))], {0: Q(-10), 1: Q(21)}) is None
+    assert not deviations.find_c_deviation(game, x, {0, 1}).found
+    result = deviations.find_c_deviation(game, x, {0})
+    assert result.found and result.gains == {0: 10}
+    verdict = deviations.core_membership(game, x, "c")
+    assert not verdict.stable and verdict.witness == {0}
+
+
+@st.composite
+def nonnegative_ttg_outcomes(draw):
+    """A small TTG, about half with p/q weights and thresholds, and an
+    outcome of one or two coalitions whose values are split among their
+    supporters in drawn nonnegative proportions."""
+    den = st.sampled_from((1, 2, 3)) if draw(st.booleans()) else st.just(1)
+    weights = draw(st.lists(st.builds(Q, st.integers(1, 6), den), min_size=1, max_size=4))
+    tasks = draw(st.lists(st.builds(TaskType, st.builds(Q, st.integers(1, 9), den),
+                                    st.builds(Q, st.integers(1, 20), st.integers(1, 2))),
+                          min_size=1, max_size=3))
+    game = TTG(tuple(weights), tuple(tasks))
+    first = [w * draw(st.sampled_from((ZERO, Q(1, 2), Q(1)))) for w in weights]
+    rows = [first, [w - u for w, u in zip(weights, first)]][:draw(st.integers(1, 2))]
+    structure = CoalitionStructure(tuple(PartialCoalition(tuple(r)) for r in rows))
+    payoffs = []
+    for c in structure.coalitions:
+        cut = [draw(st.integers(0, 4)) if j in c.support else 0 for j in range(game.n)]
+        v = game.value(c.units)
+        payoffs.append(tuple(v * k / sum(cut) if sum(cut) else ZERO for k in cut))
+    return game, Outcome(structure, tuple(payoffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonnegative_ttg_outcomes())
+def test_ttg_c_rows_are_the_proportional_split_of_the_surplus(question):
+    """With nonnegative payoffs a TTG's c witness pays each deviator its
+    total plus an equal share of vstar(J) - p(J), spread over the standalone
+    coalitions in proportion to their values: the closed form the c search
+    used before it called the division program, rebuilt here."""
+    game, outcome = question
+    p = payoff_vector(outcome, game.n)
+    for k in range(1, game.n + 1):
+        for J in itertools.combinations(range(game.n), k):
+            result = deviations.find_c_deviation(game, outcome, J)
+            best = welfare.vstar(game, J)
+            surplus = (best - sum((p[j] for j in J), ZERO)) / k
+            assert result.found == (best > 0 and surplus > 0)
+            if not result.found:
+                continue
+            structure = welfare.knapsack_profile(game).standalone(J)[1]
+            assert result.plan.new_structure == structure
+            assert result.gains == {j: surplus for j in J}
+            assert result.payoffs == tuple(
+                tuple((p[j] + surplus) * game.value(c.units) / best if j in J else ZERO
+                      for j in range(game.n))
+                for c in structure.coalitions
+            )
 
 
 def test_rule_game_c_membership_searches_only_short_sets(monkeypatch):
@@ -355,39 +417,59 @@ def test_scaling_memo_keeps_verdicts_of_interleaved_questions():
 
 
 @st.composite
-def single_pool_divisions(draw):
-    """One pool and floors on exactly its supporters, floors possibly
-    negative; the amount is drawn around the floors' sum, so the margin
-    (amount - sum of floors) / k is negative, zero or positive."""
+def shared_pool_divisions(draw):
+    """One to three pools on one supporter set and floors on exactly those
+    supporters, floors possibly negative; the amounts are drawn around the
+    floors' sum, so the margin (sum of amounts - sum of floors) / k is
+    negative, zero or positive, and some pools may be empty."""
     sup = tuple(sorted(draw(st.sets(st.integers(min_value=0, max_value=3),
                                     min_size=1, max_size=4))))
     floors = {j: draw(_rationals(-8, 8)) for j in sup}
-    amount = max(sum(floors.values(), ZERO) + draw(_rationals(-4, 8)), ZERO)
-    return (amount, sup), floors
+    total = max(sum(floors.values(), ZERO) + draw(_rationals(-4, 8)), ZERO)
+    cuts = draw(st.lists(_rationals(0, 3), min_size=1, max_size=3))
+    weights = cuts if sum(cuts) else [Q(1)] + cuts[1:]
+    return [(total * w / sum(weights), sup) for w in weights], floors
 
 
-@example(((Q(6), (0, 1)), {0: Q(-2), 1: Q(3)}))  # negative floor, margin 5/2
-@example(((Q(5), (0, 1)), {0: Q(2), 1: Q(3)}))  # margin exactly 0
-@example(((Q(4), (0, 1)), {0: Q(-10), 1: Q(2)}))  # floor + margin < 0: the LP
-@example(((Q(1), (0, 1)), {0: Q(2), 1: Q(3)}))  # negative margin: the LP
+def _totals(shares, agents):
+    return {j: sum((share.get(j, ZERO) for share in shares), ZERO) for j in agents}
+
+
+@example(([(Q(6), (0, 1))], {0: Q(-2), 1: Q(3)}))  # negative floor, margin 5/2
+@example(([(Q(5), (0, 1))], {0: Q(2), 1: Q(3)}))  # margin exactly 0
+@example(([(Q(4), (0, 1))], {0: Q(-10), 1: Q(2)}))  # floor + margin < 0: the LP
+@example(([(Q(1), (0, 1))], {0: Q(2), 1: Q(3)}))  # negative margin: the LP
+@example(([(Q(4), (0, 1)), (ZERO, (0, 1)), (Q(8), (0, 1))], {0: Q(-1), 1: Q(5)}))
 @settings(max_examples=300, deadline=None)
-@given(single_pool_divisions())
+@given(shared_pool_divisions())
 def test_closed_form_division_matches_the_program(instance):
-    pool, floors = instance
-    closed = deviations._equal_margin_split(pool, floors)
-    answer = deviations._divide_strictly([pool], floors)
+    pools, floors = instance
+    closed = deviations._equal_margin_split(pools, floors)
+    answer = deviations._divide_strictly(pools, floors)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(deviations, "_equal_margin_split", lambda pool, floors: None)
-        by_lp = deviations._divide_strictly([pool], floors)
-    assert answer == by_lp
-    margin = (pool[0] - sum(floors.values(), ZERO)) / len(floors)
+        m.setattr(deviations, "_equal_margin_split", lambda pools, floors: None)
+        by_lp = deviations._divide_strictly(pools, floors)
+    margin = (sum(a for a, _ in pools) - sum(floors.values(), ZERO)) / len(floors)
     applies = margin >= 0 and all(f + margin >= 0 for f in floors.values())
     assert (closed is not None) == applies
+    assert answer == (closed if applies else by_lp)
     if closed is not None:
-        assert closed == by_lp
-    # the closed form answers only the margin question of a single pool
-    # shared by exactly the floored agents
-    assert deviations._equal_margin_split(pool, {**floors, 9: ZERO}) is None
+        # the margin and every agent's total are the program's; only the
+        # rows of several pools may be another optimal vertex
+        assert closed[0] == by_lp[0] == margin
+        assert _totals(closed[1], floors) == _totals(by_lp[1], floors)
+        assert _totals(closed[1], floors) == {j: f + margin for j, f in floors.items()}
+        for (amount, sup), share in zip(pools, closed[1]):
+            assert sorted(share) == list(sup)
+            assert sum(share.values(), ZERO) == amount
+            assert all(x >= 0 for x in share.values())
+        if len(pools) == 1:
+            assert closed == by_lp
+    # the closed form answers only the margin question of pools shared by
+    # exactly the floored agents
+    assert deviations._equal_margin_split(pools, {**floors, 9: ZERO}) is None
+    other = (ZERO, tuple(sorted(set(pools[0][1]) ^ {9})))
+    assert deviations._equal_margin_split(pools + [other], floors) is None
 
 
 # -- r/o membership against a full enumeration scored in Fractions ------------

@@ -1,0 +1,55 @@
+"""Every found deviation is assembled in one place: only
+``deviations._package`` constructs a ``DeviationResult`` that is not
+``found=False``, so every search that reports a deviation, a TTG's c witness
+included, passes the same strict-gain check."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import ocfgames
+
+PACKAGE = Path(ocfgames.__file__).parent
+
+
+def _called_name(node: ast.Call) -> str:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def _found_argument(node: ast.Call):
+    for keyword in node.keywords:
+        if keyword.arg == "found":
+            return keyword.value
+    return node.args[0] if node.args else None
+
+
+class _Builders(ast.NodeVisitor):
+    """The functions (``module`` at top level) that construct a
+    ``DeviationResult`` without a literal ``found=False``."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.found: set[str] = set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(f"{self.scope[0]}.{node.name}")
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        if _called_name(node) == "DeviationResult":
+            found = _found_argument(node)
+            if not (isinstance(found, ast.Constant) and found.value is False):
+                self.found.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_only_package_builds_found_deviations():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        builders = _Builders(path.stem)
+        builders.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= builders.found
+    assert found == {"deviations._package"}
