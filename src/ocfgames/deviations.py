@@ -28,11 +28,18 @@ set and outcome that asks for the same capacities; a search walks each
 ranking only while totals stay above p(J), so no plan that cannot gain is
 built.  ``Fraction``s appear only for the pools a division splits and in
 the plan that is returned.
+
+A TTG task is a rule with one requirement over every agent, so the minimal
+grid vectors of tasks, rules and optimistic top-ups come from one generator,
+:meth:`_Search.vectors_meeting`, and a TTG's value is read from its integer
+task ladder (``scaled_thresholds``, ``scaled_utilities``).  Deviation search
+keeps one bounded memo, ``_last_enumeration``, its scalings included.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +54,6 @@ from ocfgames.model import (
     GameError,
     Outcome,
     PartialCoalition,
-    RuleBasedGame,
     TTG,
     payoff_vector,
 )
@@ -55,7 +61,10 @@ from ocfgames.rationals import Q, common_denominator, scaled
 
 ZERO = Q(0)
 ONE = Q(1)
-RULE_VECTOR_LIMIT = 200_000  # product-space guard for rule-based enumerations
+# Guards on one enumeration: grid vectors from one generator, and fit tests
+# of one structure enumeration.  Past either, a search raises GameError.
+VECTOR_LIMIT = 200_000
+FIT_TEST_LIMIT = 5_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +102,7 @@ class _Candidate:
     base: dict[int, Fraction]  # payoffs retained from intact coalitions
     takes: tuple[tuple[int, FrozenSet[int]], ...]  # claimed pools, in units of 1/D
     caps: tuple[int, ...]  # scaled spare capacity per deviator
-    structure: tuple  # ((vector, value in units of 1/V), ...) new deviator coalitions
+    structure: tuple  # ((vector, value_scale * value), ...) new deviator coalitions
     kept: tuple[int, ...] = ()
     abandoned: tuple[int, ...] = ()
     modified: tuple = ()  # (coalition index, vector over sorted(J))
@@ -110,70 +119,21 @@ class _Scaling:
     units: tuple[tuple[int, ...], ...]  # scaled contribution rows
     supports: tuple[FrozenSet[int], ...]
     p: tuple[Fraction, ...]  # payoff vector (zeros without an outcome)
-    V: int  # the game's value scale: V * value is an int
-    # a TTG's tasks as (threshold * M, utility * V), by increasing threshold;
-    # None for a rule-based game
-    levels: Optional[tuple[tuple[int, int], ...]]
-    D: int  # lcm of V and the LCD of the payoffs: incomes in units of 1/D
+    # a TTG's task thresholds in units of 1/M, increasing; None for a
+    # rule-based game
+    thresholds: Optional[tuple[int, ...]]
+    D: int  # lcm of the value scale and the payoffs' LCD: incomes in units of 1/D
     pD: tuple[int, ...]  # D * p
     payoffs: tuple[tuple[int, ...], ...]  # D * the outcome's payoff rows
 
 
-# The last per-outcome scaling computed, as one tuple (game, outcome, grid,
-# scaling).  It holds strong references, so an identity match is never a
-# reused id, and a caller reads the slot once, so a concurrent writer never
-# shows it a mixed entry.
-_last_scaling: Optional[tuple] = None
-# what a search without an outcome (a convexity question) scales: no coalitions
-_NO_OUTCOME = Outcome(CoalitionStructure(()), ())
-
-
-def _scaling(game: Game, outcome: Optional[Outcome], grid: int) -> _Scaling:
-    """The scaling every deviator set of one (game, outcome, grid) shares.
-
-    ``M``, a multiple of ``grid`` and of the game's scale, makes weights,
-    thresholds or minima and contributions integral; ``D`` makes every
-    coalition value and every payoff integral.  The last answer is memoized,
-    keyed by the identity of ``game`` and ``outcome`` and by ``grid``.
-    """
-    global _last_scaling
-    outcome = _NO_OUTCOME if outcome is None else outcome
-    memo = _last_scaling
-    if memo is not None and memo[0] is game and memo[1] is outcome and memo[2] == grid:
-        return memo[3]
-    if grid < 1:
-        raise GameError("grid denominator must be >= 1")
-    coalitions, rows = outcome.structure.coalitions, outcome.payoffs
-    M = lcm(game.scale, grid, common_denominator(u for c in coalitions for u in c.units))
-    V = game.value_scale
-    D = lcm(V, common_denominator(x for row in rows for x in row))
-    p = payoff_vector(outcome, game.n)
-    scaling = _Scaling(
-        M=M,
-        g=M // grid,
-        w=scaled(game.weights, M),
-        units=tuple(scaled(c.units, M) for c in coalitions),
-        supports=tuple(c.support for c in coalitions),
-        p=p,
-        V=V,
-        levels=tuple(zip(
-            scaled((t.threshold for t in game.tasks), M),
-            scaled((t.utility for t in game.tasks), V),
-        )) if isinstance(game, TTG) else None,
-        D=D,
-        pD=scaled(p, D),
-        payoffs=tuple(scaled(row, D) for row in rows),
-    )
-    _last_scaling = (game, outcome, grid, scaling)
-    return scaling
-
-
 # The enumeration memo of the last game searched, as one tuple (game,
-# entries).  Enumerations are keyed by everything they read besides the
-# game: the scale and grid step, the deviators, their private coalition
-# vectors (``useful_vectors`` adds them), the capacities and the budget.
-# The memo also holds the game's row entries by scale and its standalone
-# TTG structures by deviators.  Entries past the budget clear the memo.
+# entries): the one memo of deviation search.  Enumerations are keyed by
+# everything they read besides the game: the scale and grid step, the
+# deviators, their private coalition vectors (``useful_vectors`` adds them),
+# the capacities and the budget.  The memo also holds the game's scaling by
+# grid (:func:`_scaling`), its row entries by scale and its standalone TTG
+# structures by deviators.  Entries past the budget clear the memo.
 _last_enumeration: Optional[tuple] = None
 ENUMERATION_MEMO_ENTRIES = 4096
 
@@ -184,6 +144,54 @@ def _enumeration_memo(game: Game) -> dict:
     if memo is None or memo[0] is not game:
         memo = _last_enumeration = (game, {})
     return memo[1]
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= ENUMERATION_MEMO_ENTRIES:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+# what a search without an outcome (a convexity question) scales: no coalitions
+_NO_OUTCOME = Outcome(CoalitionStructure(()), ())
+
+
+def _scaling(game: Game, outcome: Optional[Outcome], grid: int) -> _Scaling:
+    """The scaling every deviator set of one (game, outcome, grid) shares.
+
+    ``M``, a multiple of ``grid`` and of the game's scale, makes weights,
+    thresholds or minima and contributions integral; ``D`` makes every
+    coalition value and every payoff integral.  The game's enumeration memo
+    keeps the last answer per grid, as the pair (outcome, scaling); it holds
+    the outcome, so an identity match is never a reused id.
+    """
+    outcome = _NO_OUTCOME if outcome is None else outcome
+    memo = _enumeration_memo(game)
+    hit = memo.get(("scaling", grid))
+    if hit is not None and hit[0] is outcome:
+        return hit[1]
+    if grid < 1:
+        raise GameError("grid denominator must be >= 1")
+    coalitions, rows = outcome.structure.coalitions, outcome.payoffs
+    M = lcm(game.scale, grid, common_denominator(u for c in coalitions for u in c.units))
+    D = lcm(game.value_scale, common_denominator(x for row in rows for x in row))
+    p = payoff_vector(outcome, game.n)
+    scaling = _Scaling(
+        M=M,
+        g=M // grid,
+        w=scaled(game.weights, M),
+        units=tuple(scaled(c.units, M) for c in coalitions),
+        supports=tuple(c.support for c in coalitions),
+        p=p,
+        thresholds=tuple(t * (M // game.scale) for t in game.scaled_thresholds)
+        if isinstance(game, TTG) else None,
+        D=D,
+        pD=scaled(p, D),
+        payoffs=tuple(scaled(row, D) for row in rows),
+    )
+    _remember(memo, ("scaling", grid), (outcome, scaling))
+    return scaling
 
 
 @lru_cache(maxsize=16)
@@ -219,6 +227,8 @@ class _Search:
         self.pJ = {j: s.p[j] for j in self.Js}
         self.target = sum(s.pD[j] for j in self.Js)  # D * p(J)
         self.mixed = [i for i, sup in enumerate(s.supports) if not sup <= self.J]
+        # r and o keep or rebuild every mixed coalition: the new ones get the rest
+        self.budget = None if cap is None else max(0, cap - len(self.mixed))
         self.dev_only = [i for i, sup in enumerate(s.supports) if sup <= self.J]
         private = {tuple(s.units[i][j] for j in self.Js) for i in self.dev_only}
         self._memo = _enumeration_memo(game)
@@ -230,11 +240,9 @@ class _Search:
     def full_caps(self) -> tuple[int, ...]:
         return tuple(self.w[j] for j in self.Js)
 
-    def _remember(self, key, value):
-        if len(self._memo) >= ENUMERATION_MEMO_ENTRIES:
-            self._memo.clear()
-        self._memo[key] = value
-        return value
+    def ceil_grid(self, x) -> int:
+        """The least multiple of the grid step that is at least ``x``."""
+        return -(-x // self.g) * self.g
 
     # -- new deviator-only coalitions ------------------------------------
 
@@ -244,112 +252,95 @@ class _Search:
         """The full-width row of ``vec`` (over sorted(J), in units of 1/M):
         ``base``, zero by default, with the deviators' entries replaced."""
         row = [ZERO] * self.game.n if base is None else list(base)
-        table = self._fractions
         for j, u in zip(self.Js, vec):
-            q = table.get(u)
-            if q is None:
-                q = table[u] = Q(u, self.M)
-            row[j] = q
+            row[j] = self._fraction(u)
         return row
 
-    def scaled_value(
-        self, vec: Sequence[int], base: Optional[Sequence[Fraction]] = None,
-        pooled: int = 0,
-    ) -> int:
-        """V times the game value of :meth:`scaled_row` ``(vec, base)``;
-        ``pooled`` is the weight of ``base`` in units of 1/M.  A TTG's value
-        is read from its integer task levels."""
-        levels = self.scaling.levels
-        if levels is None:
-            return int(self.game.value(self.scaled_row(vec, base)) * self.scaling.V)
-        total = pooled + sum(vec)
-        best = 0
-        for threshold, utility in levels:  # TTG.best_utility, in integers
-            if threshold > total:
-                break
-            best = utility
-        return best
+    def _fraction(self, u: int) -> Fraction:
+        """``Q(u, M)``, one object per ``u`` for every row at scale M."""
+        q = self._fractions.get(u)
+        if q is None:
+            q = self._fractions[u] = Q(u, self.M)
+        return q
+
+    def scaled_value(self, vec: Sequence[int], base: Sequence[int] = ()) -> int:
+        """The game's value scale times the value of the coalition that puts
+        ``vec`` (over sorted(J)) and the integer row ``base``, zero at every
+        deviator, together; both are in units of 1/M.  A TTG's value is read
+        from its integer task ladder."""
+        thresholds = self.scaling.thresholds
+        if thresholds is None:
+            row = self.scaled_row(vec, [self._fraction(u) for u in base] if base else None)
+            return int(self.game.value(row) * self.game.value_scale)
+        k = bisect_right(thresholds, sum(base) + sum(vec))
+        return self.game.scaled_utilities[k - 1] if k else 0
+
+    def vectors_meeting(
+        self, needs: Iterable[tuple[FrozenSet[int], int]], caps: Sequence[int]
+    ) -> Iterable[tuple[int, ...]]:
+        """The grid vectors within ``caps`` (over sorted(J)) that put exactly
+        ``need`` units, a multiple of the grid step, into the deviators in
+        each disjoint ``(group, need)`` and nothing elsewhere: one composition
+        per group.  Raises :class:`GameError` past VECTOR_LIMIT vectors."""
+        per_group = [list(itertools.islice(
+            _compositions(need, [c if j in group else 0 for j, c in zip(self.Js, caps)], self.g),
+            VECTOR_LIMIT + 1,
+        )) for group, need in needs]
+        if prod(map(len, per_group)) > VECTOR_LIMIT:
+            raise GameError("deviation enumeration too large at this grid; coarsen the grid")
+        for pick in itertools.product(*per_group):
+            yield tuple(map(sum, zip(*pick)))
 
     def useful_vectors(self, caps: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
         """Positive-value deviator coalition vectors worth considering, with
-        their values in units of 1/V.
+        their values in units of 1/value scale.
 
-        One family of minimal grid vectors per task/rule value level, plus
-        the deviators' original private coalitions (which may be off-grid).
+        The minimal grid vectors of every task (one requirement over J) or
+        rule, plus the deviators' original private coalitions (which may be
+        off-grid).
         """
         key = ("vectors", self._key, caps)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        found: dict[tuple[int, ...], int] = {}
-        levels = self.scaling.levels
-        if levels is not None:
-            for T, _ in levels:
-                need = -(-T // self.g) * self.g
-                for comp in _compositions(need, caps, self.g):
-                    v = self.scaled_value(comp)
-                    if v > 0:
-                        found[comp] = v
+        thresholds = self.scaling.thresholds
+        if thresholds is None:
+            minimal = self._rule_vectors(caps)
         else:
-            for vec in self._rule_vectors(caps):
+            minimal = itertools.chain.from_iterable(
+                self.vectors_meeting([(self.J, self.ceil_grid(T))], caps) for T in thresholds
+            )
+        private = (vec for vec in self._key[3] if all(u <= c for u, c in zip(vec, caps)))
+        found: dict[tuple[int, ...], int] = {}
+        for vec in itertools.chain(minimal, private):
+            if vec not in found:
                 v = self.scaled_value(vec)
                 if v > 0:
                     found[vec] = v
-        for vec in self._key[3]:
-            if any(vec) and all(u <= c for u, c in zip(vec, caps)):
-                v = self.scaled_value(vec)
-                if v > 0:
-                    found.setdefault(vec, v)
         out = sorted(found.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return self._remember(key, out)
+        return _remember(self._memo, key, out)
 
     def _rule_vectors(self, caps: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         """Minimal grid vectors satisfying some rule using deviators only."""
-        game = self.game
-        if not isinstance(game, RuleBasedGame):
-            raise AssertionError("rule vectors need a rule-based game")
-        results: set[tuple[int, ...]] = set()
-        for rule in game.rules:
+        for rule in self.game.rules:
             if rule.value <= 0:
                 continue
-            groups = [req.agents & self.J for req in rule.requirements]
-            if any(
-                not grp and req.minimum > 0
-                for grp, req in zip(groups, rule.requirements)
-            ):
+            groups = [(req.agents & self.J, req.minimum) for req in rule.requirements]
+            if any(not grp and minimum > 0 for grp, minimum in groups):
                 continue
-            if all(not (a & b) for a, b in itertools.combinations(groups, 2)):
-                per_req = []
-                for grp, req in zip(groups, rule.requirements):
-                    if req.minimum == 0:
-                        continue
-                    need = int(-(-(req.minimum * self.M) // self.g)) * self.g
-                    subcaps = tuple(
-                        caps[k] if self.Js[k] in grp else 0
-                        for k in range(len(self.Js))
-                    )
-                    comps = list(_compositions(need, subcaps, self.g))
-                    if not comps:
-                        per_req = None
-                        break
-                    per_req.append(comps)
-                if per_req is None:
-                    continue
-                for pick in itertools.product(*per_req):
-                    vec = tuple(sum(c[k] for c in pick) for k in range(len(self.Js)))
-                    if all(u <= cp for u, cp in zip(vec, caps)):
-                        results.add(vec)
+            if all(not (a & b) for (a, _), (b, _) in itertools.combinations(groups, 2)):
+                yield from self.vectors_meeting(
+                    [(grp, self.ceil_grid(minimum * self.M))
+                     for grp, minimum in groups if minimum > 0],
+                    caps,
+                )
             else:
-                results.update(self._bounded_vectors(caps, rule))
-        return sorted(results)
+                yield from self._bounded_vectors(caps, rule)
 
     def _bounded_vectors(self, caps, rule) -> Iterable[tuple[int, ...]]:
         """Exhaustive grid vectors for rules with overlapping requirements."""
-        bound = max(
-            (int(-(-(req.minimum * self.M) // self.g)) * self.g
-             for req in rule.requirements),
-            default=0,
-        )
+        bound = max((self.ceil_grid(req.minimum * self.M) for req in rule.requirements),
+                    default=0)
         for vec in _grid_vectors([min(c, bound) for c in caps], self.g):
             if rule.satisfied_by(self.scaled_row(vec)):
                 yield vec
@@ -358,8 +349,9 @@ class _Search:
         """All multisets of useful vectors fitting the capacities and budget.
 
         Returns the structures in generation order, and the pairs (total
-        value in units of 1/V, structure) by decreasing total, ties in
-        generation order.
+        value in units of 1/value scale, structure) by decreasing total, ties
+        in generation order.  Raises :class:`GameError` past FIT_TEST_LIMIT
+        tests of a vector against the capacities left.
         """
         key = ("structures", self._key, caps, budget)
         hit = self._memo.get(key)
@@ -367,11 +359,17 @@ class _Search:
             return hit
         vectors = self.useful_vectors(caps)
         out: list = []
+        tests = 0
 
         def rec(start: int, left: tuple[int, ...], budget_left, chosen):
+            nonlocal tests
             out.append(tuple(chosen))
             if budget_left is not None and budget_left <= 0:
                 return
+            tests += len(vectors) - start
+            if tests > FIT_TEST_LIMIT:
+                raise GameError("deviation enumeration too large; coarsen the grid or "
+                                "lower the cap")
             for k in range(start, len(vectors)):
                 vec, val = vectors[k]
                 if all(u <= c for u, c in zip(vec, left)):
@@ -389,12 +387,12 @@ class _Search:
             ((sum(val for _, val in structure), structure) for structure in out),
             key=lambda pair: -pair[0],
         )
-        return self._remember(key, (out, ranked))
+        return _remember(self._memo, key, (out, ranked))
 
     def ranked(self, caps: tuple[int, ...], budget: Optional[int], income: int):
         """The structures that lift ``income`` (in units of 1/D) above
         D * p(J), best first: (score, structure) pairs."""
-        scale = self.scaling.D // self.scaling.V
+        scale = self.scaling.D // self.game.value_scale
         for total, structure in self.new_structures(caps, budget)[1]:
             score = income + scale * total
             if score <= self.target:
@@ -408,7 +406,8 @@ class _Search:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        return self._remember(key, welfare.knapsack_profile(self.game).standalone(self.Js)[1])
+        structure = welfare.knapsack_profile(self.game).standalone(self.Js)[1]
+        return _remember(self._memo, key, structure)
 
     def padded_structures(self) -> list:
         """:meth:`padded` of every structure at full capacity and budget
@@ -418,7 +417,7 @@ class _Search:
         if hit is not None:
             return hit
         caps = self.full_caps()
-        return self._remember(key, [
+        return _remember(self._memo, key, [
             self.padded(structure, caps)
             for structure in self.new_structures(caps, self.cap)[0]
         ])
@@ -449,7 +448,7 @@ class _Search:
                 if j not in covered and left[k] >= self.g:
                     vecs[0][k] += self.g
         vecs = [tuple(vec) for vec in vecs]
-        V = self.scaling.V
+        V = self.game.value_scale
         return vecs, [(Q(self.scaled_value(vec), V), self.supporters(vec)) for vec in vecs]
 
     def try_candidate(self, cand: _Candidate):
@@ -483,28 +482,31 @@ class _Search:
 
 def _grid_vectors(tops: Sequence[int], g: int) -> Iterable[tuple[int, ...]]:
     """Every vector of multiples of ``g`` with entry k at most ``tops[k]``;
-    raises :class:`GameError` when there are more than RULE_VECTOR_LIMIT."""
+    raises :class:`GameError` when there are more than VECTOR_LIMIT."""
     ranges = [range(0, top + 1, g) for top in tops]
-    if prod(len(r) for r in ranges) > RULE_VECTOR_LIMIT:
-        raise GameError("rule enumeration too large at this grid; coarsen the grid")
+    if prod(len(r) for r in ranges) > VECTOR_LIMIT:
+        raise GameError("deviation enumeration too large at this grid; coarsen the grid")
     return itertools.product(*ranges)
 
 
 def _compositions(total: int, caps: Sequence[int], g: int):
-    """Vectors of multiples of ``g`` summing to ``total`` within ``caps``."""
+    """Vectors of multiples of ``g`` summing to ``total``, a multiple of
+    ``g``, within ``caps``, in lexicographic order.  Each entry takes at
+    least what the entries after it cannot hold, so every branch of the
+    recursion yields."""
     k = len(caps)
+    tops = [c // g * g for c in caps]
+    room = list(itertools.accumulate(reversed(tops)))[::-1]  # room[i] = sum(tops[i:])
 
     def rec(idx: int, left: int):
         if idx == k - 1:
-            if left <= (caps[idx] // g) * g:
-                yield (left,)
+            yield (left,)
             return
-        top = min((caps[idx] // g) * g, left)
-        for take in range(0, top + 1, g):
+        for take in range(max(0, left - room[idx + 1]), min(tops[idx], left) + 1, g):
             for rest in rec(idx + 1, left - take):
                 yield (take,) + rest
 
-    if total < 0 or k == 0:
+    if total < 0 or k == 0 or total > room[0]:
         return iter(())
     return rec(0, total)
 
@@ -680,7 +682,6 @@ def find_r_deviation(
     resolution = _resolution(cap, grid)
     touched = [i for i in ctx.mixed if any(ctx.units[i][j] for j in ctx.Js)]
     forced_keep = [i for i in ctx.mixed if i not in touched]
-    budget = None if cap is None else max(0, cap - len(ctx.mixed))
     payoffs = ctx.scaling.payoffs
     candidates = []
     for k in range(len(touched) + 1):
@@ -691,7 +692,7 @@ def find_r_deviation(
             )
             income = sum(payoffs[i][j] for i in kept for j in ctx.Js)
             base = None
-            for score, structure in ctx.ranked(caps, budget, income):
+            for score, structure in ctx.ranked(caps, ctx.budget, income):
                 if base is None:
                     base = {
                         j: sum((outcome.payoffs[i][j] for i in kept), ZERO)
@@ -720,7 +721,6 @@ def find_o_deviation(
     """
     ctx = _Search(game, outcome, J, cap, grid)
     resolution = _resolution(cap, grid)
-    budget = None if cap is None else max(0, cap - len(ctx.mixed))
     options = [_o_mods(ctx, i) for i in ctx.mixed]
     full = ctx.full_caps()
     candidates = []
@@ -733,7 +733,7 @@ def find_o_deviation(
             continue
         caps = tuple(left)
         plan = None
-        for score, structure in ctx.ranked(caps, budget, sum(t for _, t in combo)):
+        for score, structure in ctx.ranked(caps, ctx.budget, sum(t for _, t in combo)):
             if plan is None:
                 plan = _o_plan(ctx, combo)
             takes, kept, abandoned, modified = plan
@@ -767,19 +767,15 @@ def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], int]]:
     level.
     """
     s = ctx.scaling
-    nondev_row = [
-        ZERO if j in ctx.J else u
-        for j, u in enumerate(ctx.outcome.structure.coalitions[i].units)
-    ]
-    pooled = sum(u for j, u in enumerate(ctx.units[i]) if j not in ctx.J)
+    nondev = tuple(0 if j in ctx.J else u for j, u in enumerate(ctx.units[i]))
     nondev_x = sum(x for j, x in enumerate(s.payoffs[i]) if j not in ctx.J)
-    scale = s.D // s.V
+    scale = s.D // ctx.game.value_scale
     caps = ctx.full_caps()
 
     def take_of(vec: Sequence[int]) -> int:
         if not any(vec):
             return 0
-        return max(ctx.scaled_value(vec, nondev_row, pooled) * scale - nondev_x, 0)
+        return max(ctx.scaled_value(vec, nondev) * scale - nondev_x, 0)
 
     zero = (0,) * len(ctx.Js)
     mods: dict[tuple[int, ...], int] = {zero: 0}
@@ -788,14 +784,12 @@ def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], int]]:
         t = take_of(unchanged)
         if t > 0:
             mods[unchanged] = t
-    if s.levels is not None:
-        needs = []
-        for T, _ in s.levels:
-            need = max(0, T - pooled)
-            # at least a token unit, to be allowed a share
-            needs.append(-(-need // ctx.g) * ctx.g or ctx.g)
+    if s.thresholds is not None:
+        pooled = sum(nondev)
+        # at least a token unit, to be allowed a share
         vecs = itertools.chain.from_iterable(
-            _compositions(need, caps, ctx.g) for need in needs
+            ctx.vectors_meeting([(ctx.J, max(ctx.ceil_grid(T - pooled), ctx.g))], caps)
+            for T in s.thresholds
         )
     else:
         vecs = _grid_vectors(caps, ctx.g)

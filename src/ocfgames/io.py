@@ -84,7 +84,7 @@ def _rationals(values, what: str) -> tuple[Fraction, ...]:
 
 def game_from_dict(doc: dict) -> Game:
     n = doc.get("agents")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise GameError("'agents' must be a positive integer")
     weights = _rationals(doc.get("weights"), "'weights'")
     if len(weights) != n:
@@ -121,7 +121,7 @@ def game_from_dict(doc: dict) -> Game:
 
 
 def _agent_index(label, n: int) -> int:
-    if not isinstance(label, int) or not (1 <= label <= n):
+    if not isinstance(label, int) or isinstance(label, bool) or not (1 <= label <= n):
         raise GameError(f"agent label {label!r} out of range 1..{n}")
     return label - 1
 

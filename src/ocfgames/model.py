@@ -91,8 +91,9 @@ def _set_integer_view(game, minima: Iterable[Fraction], values: Iterable[Fractio
 class TTG:
     """Threshold task game: positive agent weights plus a monotone task list.
 
-    Construction also derives the integer view (:func:`_set_integer_view`)
-    and ``scaled_thresholds``, the task thresholds in units of ``1/scale``.
+    Construction also derives the integer view (:func:`_set_integer_view`),
+    ``scaled_thresholds``, the task thresholds in units of ``1/scale``, and
+    ``scaled_utilities``, the task utilities in units of ``1/value_scale``.
     """
 
     weights: tuple[Fraction, ...]
@@ -103,8 +104,10 @@ class TTG:
         object.__setattr__(self, "tasks", normalize_tasks(self.tasks))
         object.__setattr__(self, "_hash", hash((self.weights, self.tasks)))
         thresholds = [t.threshold for t in self.tasks]
-        _set_integer_view(self, thresholds, (t.utility for t in self.tasks))
+        utilities = [t.utility for t in self.tasks]
+        _set_integer_view(self, thresholds, utilities)
         object.__setattr__(self, "scaled_thresholds", scaled(thresholds, self.scale))
+        object.__setattr__(self, "scaled_utilities", scaled(utilities, self.value_scale))
 
     def __hash__(self) -> int:
         # the dataclass hash, computed once: cache lookups key on the game

@@ -15,11 +15,12 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 def as_q(x) -> Fraction:
     """Convert ints, Fractions, and strings like ``3`` or ``-2/7`` to Fraction.
 
-    Floats are rejected: the toolkit is exact-arithmetic only.
+    Floats are rejected: the toolkit is exact-arithmetic only.  So are
+    booleans, which Python counts as ints but no document means as numbers.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         s = x.strip()

@@ -541,3 +541,46 @@ def test_an_internal_error_exits_three_with_one_line(company, monkeypatch, capsy
     assert cli.main(["check-core", "--game", game, "--kind", "c", "--outcome", x]) == 3
     err = capsys.readouterr().err
     assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+@pytest.mark.parametrize("weights, thresholds, kind", [
+    ([300000, 300000], [250000, 400000], "r"),
+    ([300000, 300000], [250000, 400000], "o"),
+    ([300000, 300000, 300000], [890000], "r"),
+], ids=["two-agents-r", "two-agents-o", "three-agents-r"])
+def test_large_weights_past_the_vector_limit_exit_two(tmp_path, capsys, weights,
+                                                      thresholds, kind):
+    """Grid-1 deviation search over weights in the hundreds of thousands has
+    more minimal vectors than VECTOR_LIMIT: one line, not a hang."""
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"agents": len(weights), "weights": weights, "tasks": [
+        {"threshold": t, "utility": 10 * (k + 1)} for k, t in enumerate(thresholds)]}))
+    outcome = tmp_path / "o.json"
+    pays = [10 * len(thresholds) // len(weights)] * len(weights)
+    pays[0] += 10 * len(thresholds) - sum(pays)
+    outcome.write_text(json.dumps({"structure": [weights], "payoffs": [pays]}))
+    assert cli.main(["check-core", "--game", str(game), "--kind", kind,
+                     "--outcome", str(outcome)]) == 2
+    assert "enumeration too large" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("game, outcome, argv", [
+    ({"agents": True, "weights": [True], "tasks": [{"threshold": 1, "utility": True}]},
+     None, ["welfare", "--mode", "overlapping"]),
+    ({"agents": 1, "weights": [1], "tasks": [{"threshold": 1, "utility": True}]},
+     None, ["welfare", "--mode", "overlapping"]),
+    ({"agents": 1, "weights": [1], "tasks": [{"threshold": 1, "utility": 1}]},
+     {"structure": [[True]], "payoffs": [[True]]}, ["check-core", "--kind", "c"]),
+    ({"agents": 2, "weights": [1, 1],
+      "rules": [{"requirements": [{"agents": [True], "min": 1}], "value": 1}]},
+     None, ["welfare", "--mode", "vstar", "--set", "1"]),
+], ids=["agent-count", "utility", "outcome-entries", "agent-label"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, game, outcome, argv):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(game))
+    argv = argv + ["--game", str(path)]
+    if outcome is not None:
+        (tmp_path / "o.json").write_text(json.dumps(outcome))
+        argv += ["--outcome", str(tmp_path / "o.json")]
+    assert cli.main(argv) == 2
+    _one_line_error(capsys)

@@ -400,13 +400,13 @@ def test_scaling_memo_keeps_verdicts_of_interleaved_questions():
         verdicts = []
         for k, (game, outcome, kind, grid) in enumerate(calls):
             if clear:
-                deviations._last_scaling = None
+                deviations._last_enumeration = None
             verdicts.append(deviations.core_membership(game, outcome, kind, cap=2, grid=grid))
             if k % 7 == 0:
                 convexity.falsify_convexity(game, cap=2, grid=grid)
         for game in games:  # without an outcome, only the game tells entries apart
             if clear:
-                deviations._last_scaling = None
+                deviations._last_enumeration = None
             verdicts.append(convexity.falsify_convexity(game, cap=2, grid=1))
         return verdicts
 
@@ -701,7 +701,7 @@ def test_shared_memos_keep_every_answer(calls):
         for index, kind, grid, cap, falsify in calls:
             game, outcome = _MEMO_CASES[index]
             if clear:
-                deviations._last_scaling = deviations._last_enumeration = None
+                deviations._last_enumeration = None
             if falsify:
                 out.append(convexity.falsify_convexity(game, cap=cap, grid=grid,
                                                        budget=200))
@@ -711,3 +711,77 @@ def test_shared_memos_keep_every_answer(calls):
         return out
 
     assert run(clear=False) == run(clear=True)
+
+
+# -- the one minimal-vector generator and the integer task ladder -------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_vectors_meeting_matches_a_brute_force_product(data):
+    """``vectors_meeting`` yields, once each, exactly the grid vectors within
+    the caps whose group sums are the needs and whose other entries are 0."""
+    step = data.draw(st.integers(min_value=1, max_value=2), label="grid step")
+    n = data.draw(st.integers(min_value=1, max_value=5), label="agents")
+    J = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1),
+                          min_size=1, max_size=4), label="deviators")
+    # weights of 1/step at grid 1: contributions in units of 1/step, step `step`
+    game = TTG(tuple(Q(1, step) for _ in range(n)), (TaskType(Q(1), Q(1)),))
+    ctx = deviations._Search(game, None, J, None, 1)
+    assert ctx.g == step
+    Js = ctx.Js
+    labels = data.draw(st.lists(st.integers(min_value=-1, max_value=2),
+                                min_size=len(Js), max_size=len(Js)), label="groups")
+    groups = [frozenset(j for j, label in zip(Js, labels) if label == k) for k in range(3)]
+    groups = [grp for grp in groups if grp]
+    if not groups:
+        groups = [frozenset(Js)]
+    needs = [(grp, step * data.draw(st.integers(min_value=0, max_value=4), label="need"))
+             for grp in groups]
+    caps = tuple(data.draw(st.lists(st.integers(min_value=0, max_value=6),
+                                    min_size=len(Js), max_size=len(Js)), label="caps"))
+    got = list(ctx.vectors_meeting(needs, caps))
+    grouped = set().union(*groups)
+    expected = [
+        vec for vec in itertools.product(*(range(0, c + 1, step) for c in caps))
+        if all(sum(u for j, u in zip(Js, vec) if j in grp) == need for grp, need in needs)
+        and not any(u for j, u in zip(Js, vec) if j not in grouped)
+    ]
+    assert len(got) == len(set(got))
+    assert sorted(got) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ttg_ladder_value_matches_the_fraction_value(data):
+    """A TTG's ``scaled_value(vec, base)`` is ``value_scale`` times
+    ``game.value`` of the row it stands for, on p/q weights and tasks."""
+    fractions = st.fractions(min_value=Q(1, 6), max_value=4, max_denominator=6)
+    n = data.draw(st.integers(min_value=1, max_value=4), label="agents")
+    weights = tuple(data.draw(st.lists(fractions, min_size=n, max_size=n), label="weights"))
+    tasks = data.draw(st.lists(st.builds(TaskType, fractions, fractions),
+                               min_size=1, max_size=4), label="tasks")
+    game = TTG(weights, tasks)
+    J = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1),
+                  label="deviators")
+    grid = data.draw(st.integers(min_value=1, max_value=3), label="grid")
+    ctx = deviations._Search(game, None, J, None, grid)
+    vec = tuple(data.draw(st.integers(min_value=0, max_value=ctx.w[j]), label="vec")
+                for j in ctx.Js)
+    base = tuple(0 if j in ctx.J else
+                 data.draw(st.integers(min_value=0, max_value=ctx.w[j]), label="base")
+                 for j in range(n))
+    row = ctx.scaled_row(vec, [Q(u, ctx.M) for u in base])
+    assert ctx.scaled_value(vec, base) == game.value(row) * game.value_scale
+    assert ctx.scaled_value(vec) == game.value(ctx.scaled_row(vec)) * game.value_scale
+
+
+@pytest.mark.parametrize("limit", ["VECTOR_LIMIT", "FIT_TEST_LIMIT"])
+def test_enumeration_past_a_limit_raises_a_game_error(monkeypatch, limit):
+    """Both enumeration limits hold on a small game: each raises GameError
+    once the search passes it, rather than running on."""
+    g, _, xp, _, _ = company_fixtures()  # r-stable: every deviator set is searched
+    monkeypatch.setattr(deviations, "_last_enumeration", None)
+    monkeypatch.setattr(deviations, limit, 2)
+    with pytest.raises(GameError, match="enumeration too large"):
+        deviations.core_membership(g, xp, "r", cap=3, grid=1)

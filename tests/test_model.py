@@ -99,6 +99,7 @@ def test_integer_view_of_a_p_over_q_task_game():
     assert g.scaled_thresholds == tuple(int(t.threshold * scale) for t in tasks) \
         == (15, 28)
     assert g.value_scale == lcm(5, 2) == 10
+    assert g.scaled_utilities == tuple(int(t.utility * 10) for t in tasks) == (6, 35)
     with pytest.raises(FrozenInstanceError):
         g.scale = 1
     assert "scale" not in repr(g)
