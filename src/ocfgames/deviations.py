@@ -27,7 +27,8 @@ with their integer values, ranked best-first and shared by every deviator
 set and outcome that asks for the same capacities; a search walks each
 ranking only while totals stay above p(J), so no plan that cannot gain is
 built.  ``Fraction``s appear only for the pools a division splits and in
-the plan that is returned.
+the plan that is returned.  A division runs the rule cover's max-flow,
+:func:`welfare._route`.
 
 A TTG task is a rule with one requirement over every agent, so the minimal
 grid vectors of tasks, rules and optimistic top-ups come from one generator,
@@ -46,7 +47,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import FrozenSet, Iterable, Optional, Sequence
 
-from ocfgames import lp, welfare
+from ocfgames import welfare
 from ocfgames.core import CoreVerdict, _subsets, short_sets
 from ocfgames.model import (
     CoalitionStructure,
@@ -60,7 +61,6 @@ from ocfgames.model import (
 from ocfgames.rationals import Q, common_denominator, scaled
 
 ZERO = Q(0)
-ONE = Q(1)
 # Guards on one enumeration: grid vectors from one generator, and fit tests
 # of one structure enumeration.  Past either, a search raises GameError.
 VECTOR_LIMIT = 200_000
@@ -465,11 +465,6 @@ class _Search:
             cand.structure, cand.caps, (j for _, sup in claimed for j in sup)
         )
         pools = claimed + built
-        for j in self.Js:
-            if cand.base.get(j, ZERO) <= self.pJ[j] and not any(
-                j in sup for _, sup in pools
-            ):
-                return None
         floors = {j: self.pJ[j] - cand.base.get(j, ZERO) for j in self.Js}
         division = _divide_strictly(pools, floors)
         if division is None or division[0] <= 0:
@@ -513,76 +508,72 @@ def _compositions(total: int, caps: Sequence[int], g: int):
 
 def _divide_strictly(pools, floors, maximize=None):
     """Split pooled values among their supporters so that each agent in
-    ``floors`` gets its floor plus a common nonnegative margin.
+    ``floors`` gets its floor plus a common margin t, as large as it can be.
 
     Every deviation is split here, a TTG's c witness included.  ``pools``
     holds (amount, supporters) pairs; ``floors`` maps agents to floors, in
-    row order.  The program has one equality per pool, the margin column,
-    and one row ``shares(j) - margin >= floors[j]`` per agent, and no share
-    is negative; it maximizes the margin, or agent ``maximize``'s total when
-    given.  Returns (margin, per-pool share maps), or None when no split
-    meets the floors, without solving when an agent with a positive floor is
-    in no pool.  Without pools the answer is the program's: the least
-    ``-floor`` (0 without floors) and no shares.  The one question answered
-    without the program is :func:`_equal_margin_split`'s.
+    row order.  Agent j demands max(floor + t, 0) of the pools it supports,
+    and a set T of agents can be served iff it demands at most what the
+    pools touching T hold (Gale).  t starts at the largest value the set of
+    all agents allows; while :func:`welfare._route` finds a set T blocked, t
+    drops to the largest value T allows.  A pool's unrouted rest goes to its
+    first supporter.  With ``maximize`` only that agent's demand moves with
+    t (from floor 0 when it has none); every other agent demands
+    max(floor, 0).  Returns (t, per-pool share maps), or None when t < 0.
     """
-    supported = {j for _, sup in pools for j in sup}
-    if any(f > 0 and j not in supported for j, f in floors.items()):
-        return None
-    if not pools:
-        return min((-f for f in floors.values()), default=ZERO), []
-    if maximize is None:
-        split = _equal_margin_split(pools, floors)
-        if split is not None:
-            return split
-    builder = lp.ProgramBuilder()
-    for c, (amount, sup) in enumerate(pools):
-        builder.add([(c, j) for j in sup], "==", amount)
-    builder.var("eps")  # the common margin, after every share
-    for j, floor in floors.items():
-        terms = {(c, j): ONE for c, (_, sup) in enumerate(pools) if j in sup}
-        terms["eps"] = -ONE
-        builder.add(terms, ">=", floor)
-    if maximize is None:
-        objective = ["eps"]
-    else:
-        objective = [(c, maximize) for c, (_, sup) in enumerate(pools) if maximize in sup]
-    result, x = builder.solve(maximize=objective)
-    if result.status == "infeasible":
-        return None
-    if result.status != "optimal":
-        raise AssertionError(f"division LP ended {result.status}")
-    return x["eps"], [{j: x[c, j] for j in sup} for c, (_, sup) in enumerate(pools)]
+    if maximize is not None:
+        floors = {**floors, maximize: floors.get(maximize, ZERO)}
+    moving = floors.keys() if maximize is None else {maximize}
+    agents = list(floors)
+    # amounts and floors in units of 1/D; t is a Fraction in those units
+    D = common_denominator(itertools.chain((amount for amount, _ in pools), floors.values()))
+    supply = scaled((amount for amount, _ in pools), D)
+    floor = dict(zip(agents, scaled(floors.values(), D)))
 
+    def owed(j, t):  # the floor, plus t if it moves, in units of 1/(D * t.denominator)
+        return floor[j] * t.denominator + (t.numerator if j in moving else 0)
 
-def _equal_margin_split(pools, floors):
-    """The margin-maximizing split of pools of total amount A, each shared
-    by exactly the k floored agents, or None when this closed form does not
-    apply.
+    def room(T):  # the amount of the pools touching T, in units of 1/D
+        return sum(s for s, (_, sup) in zip(supply, pools) if not T.isdisjoint(sup))
 
-    Every agent's total is at least its floor plus the margin and the totals
-    sum to A, so the margin is at most e = (A - sum of floors) / k, and e is
-    reached only by paying each agent its floor plus e.  Every optimum of the
-    division program does so when e >= 0 and every floor plus e is >= 0 (a
-    share cannot be negative); otherwise the program decides.  Each pool is
-    split in proportion to its amount, so with several pools the rows may be
-    another optimal vertex than the program's.
-    """
-    agents = floors.keys()
-    if any(agents != set(sup) for _, sup in pools):
-        return None
-    total = sum((amount for amount, _ in pools), ZERO)
-    eps = (total - sum(floors.values(), ZERO)) / len(agents)
-    if eps < 0:
-        return None
-    owed = {j: floor + eps for j, floor in floors.items()}
-    if any(x < 0 for x in owed.values()):
-        return None
-    # the totals add up to A, so each pool's shares add up to its amount
-    if sum(owed.values(), ZERO) != total:
-        raise ArithmeticError(f"closed-form division of {total} does not add up: {owed}")
-    return eps, [{j: owed[j] * amount / total if amount else ZERO for j in sup}
-                 for amount, sup in pools]
+    def largest_margin(T):
+        """The largest t at which T's demands fit ``room(T)``, or None: for
+        every k, the k largest moving floors of T plus k t fit what is left."""
+        left = room(T) - sum(max(floor[j], 0) for j in T if j not in moving)
+        if left < 0:
+            return None
+        tops = itertools.accumulate(sorted((floor[j] for j in T if j in moving), reverse=True))
+        return min((Q(left - f, k) for k, f in enumerate(tops, 1)), default=ZERO)
+
+    links = [(c, k) for c, (_, sup) in enumerate(pools) for k, j in enumerate(agents) if j in sup]
+    T = set(agents)
+    while True:
+        t = largest_margin(T)
+        if t is None or t < 0:
+            return None
+        routed, blocked = welfare._route([s * t.denominator for s in supply],
+                                         [max(owed(j, t), 0) for j in agents], links)
+        if routed is not None:
+            break
+        T = {agents[k] for k in blocked}
+    shares = [dict.fromkeys(sup, 0) for _, sup in pools]  # in units of 1/(D * t.denominator)
+    for (c, k), x in routed.items():
+        shares[c][agents[k]] += x
+    for s, (_, sup), share in zip(supply, pools, shares):
+        share[sup[0]] += s * t.denominator - sum(share.values())
+    # the re-checks: each pool is paid out to its supporters, each total
+    # meets what it is owed, and T is tight, so no larger t fits
+    for s, (_, sup), share in zip(supply, pools, shares):
+        if (share.keys() != set(sup) or min(share.values()) < 0
+                or sum(share.values()) != s * t.denominator):
+            raise ArithmeticError(f"a division among {sup} pays {share} of {s * t.denominator}")
+    for j in agents:
+        if sum(share.get(j, 0) for share in shares) < owed(j, t):
+            raise ArithmeticError(f"a division pays agent {j} less than {owed(j, t)}")
+    if sum(max(owed(j, t), 0) for j in T) != room(T) * t.denominator:
+        raise ArithmeticError(f"margin {t} leaves the pools of {sorted(T)} unexhausted")
+    scale = D * t.denominator
+    return Q(t.numerator, scale), [{j: Q(x, scale) for j, x in share.items()} for share in shares]
 
 
 def _try_best_first(ctx: _Search, candidates: list[_Candidate], resolution):

@@ -4,7 +4,8 @@ For threshold task games everything reduces to an unbounded-knapsack profile
 over integer-scaled weight: ``U[w]`` is the best total utility obtainable by
 pooling ``w`` scaled weight units across any number of task copies.  For
 rule-based games the cover is computed by a pruned search over rule
-multisets with an exact feasibility check.
+multisets with an exact feasibility check; its max-flow, :func:`_route`,
+also splits the pooled values of every deviation.
 """
 
 from __future__ import annotations
@@ -328,63 +329,67 @@ def _multiset_feasible(
 def _feasible_by_flow(
     game: RuleBasedGame, S: FrozenSet[int], instances: Sequence[Rule]
 ) -> bool:
-    """Max-flow feasibility: agents supply, requirement instances demand.
-
-    Capacities are integers, in units of ``1/game.scale``; augmenting paths
-    are shortest (Edmonds-Karp) and the search stops once the flow meets the
-    demand, which is positive: a rule with positive value has a positive
-    minimum.
-    """
+    """Max-flow feasibility (:func:`_route`): agents supply their weights and
+    requirement instances demand their minima, in units of ``1/game.scale``."""
     agents = sorted(S)
     reqs = [req for rule in instances for req in rule.requirements if req.minimum]
-    need = scaled((req.minimum for req in reqs), game.scale)
-    demand = sum(need)
-    # nodes: 0 = source, 1..len(agents) = agents, then requirements, last = sink
-    src, sink = 0, 1 + len(agents) + len(reqs)
+    routed, _ = _route(
+        [game.scaled_weights[j] for j in agents],
+        scaled((req.minimum for req in reqs), game.scale),
+        [(a, r) for a, j in enumerate(agents) for r, req in enumerate(reqs) if j in req.agents],
+    )
+    return routed is not None
+
+
+def _route(supplies: Sequence[int], demands: Sequence[int],
+           links: Sequence[tuple[int, int]]) -> tuple[Optional[dict], Optional[list]]:
+    """Gale's supply-demand question as one integer max-flow.
+
+    Supplier i holds ``supplies[i]``, demander k asks ``demands[k]``, and a
+    link (i, k) carries any amount from i to k.  Returns ``(routed, None)``
+    once every demand is met, ``routed`` mapping each link to what it
+    carries, or ``(None, blocked)``: the demanders on the sink side of a
+    minimum cut, who ask more than the suppliers linked to them hold.
+    """
+    s, d, demand = len(supplies), len(demands), sum(demands)
+    src, sink = s + d, s + d + 1  # after the suppliers, then the demanders
     residual = [[0] * (sink + 1) for _ in range(sink + 1)]
     adj: list[list[int]] = [[] for _ in range(sink + 1)]
-
-    def edge(u: int, v: int, capacity: int) -> None:
+    # a link is unbounded in effect: none carries all the demand while some is unmet
+    for u, v, capacity in itertools.chain(((src, i, x) for i, x in enumerate(supplies)),
+                                          ((s + k, sink, x) for k, x in enumerate(demands)),
+                                          ((i, s + k, demand) for i, k in links)):
         residual[u][v] = capacity
         adj[u].append(v)
         adj[v].append(u)
-
-    for ai, j in enumerate(agents):
-        edge(src, 1 + ai, game.scaled_weights[j])
-    for ri, req in enumerate(reqs):
-        rnode = 1 + len(agents) + ri
-        edge(rnode, sink, need[ri])
-        for ai, j in enumerate(agents):
-            if j in req.agents:
-                edge(1 + ai, rnode, need[ri])
     total = 0
-    while True:
-        parent = [-1] * (sink + 1)
-        parent[src] = src
-        queue = deque((src,))
-        while queue and parent[sink] < 0:
-            u = queue.popleft()
-            for v in adj[u]:
-                if parent[v] < 0 and residual[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[sink] < 0:
-            return False
-        push = demand - total
-        v = sink
-        while v != src:
-            u = parent[v]
-            push = min(push, residual[u][v])
-            v = u
-        v = sink
-        while v != src:
-            u = parent[v]
+    # each link's direct path first, greedily; then shortest augmenting paths
+    # (Edmonds-Karp) reroute what is left
+    direct = (((src, i), (i, s + k), (s + k, sink)) for i, k in links)
+    while total < demand:
+        path = next(direct, None)
+        if path is None:
+            parent = [-1] * (sink + 1)
+            parent[src] = src
+            queue = deque((src,))
+            while queue and parent[sink] < 0:
+                u = queue.popleft()
+                for v in adj[u]:
+                    if parent[v] < 0 and residual[u][v] > 0:
+                        parent[v] = u
+                        queue.append(v)
+            if parent[sink] < 0:
+                return None, [k for k in range(d) if parent[s + k] < 0]
+            path, v = [], sink
+            while v != src:
+                path.append((parent[v], v))
+                v = parent[v]
+        push = min(demand - total, *(residual[u][v] for u, v in path))
+        for u, v in path:
             residual[u][v] -= push
             residual[v][u] += push
-            v = u
         total += push
-        if total == demand:
-            return True
+    return {(i, k): residual[s + k][i] for i, k in links}, None
 
 
 def _feasible_by_lp(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import random_outcome, random_ttg
-from ocfgames import convexity, core, corpus, deviations, welfare
+from ocfgames import convexity, core, corpus, deviations, lp, welfare
 from ocfgames.model import (
     TTG,
     CoalitionStructure,
@@ -217,7 +217,7 @@ def test_a_conservative_group_with_no_value_gains_only_if_every_total_is_negativ
     assert result.found and result.gains == {0: 2}
     assert result.payoffs == ((ZERO, ZERO, ZERO),)
     assert result.plan.new_structure.coalitions == (PartialCoalition((Q(1), ZERO, ZERO)),)
-    # the division program gives the same answers
+    # the division gives the same answers
     assert deviations._divide_strictly([(ZERO, (0, 1))], {0: Q(-2), 1: Q(1)}) is None
     assert deviations._divide_strictly([(ZERO, (0,))], {0: Q(-2)})[0] == 2
     verdict = deviations.core_membership(game, x, "c")
@@ -260,11 +260,12 @@ def nonnegative_ttg_outcomes(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(nonnegative_ttg_outcomes())
-def test_ttg_c_rows_are_the_proportional_split_of_the_surplus(question):
+def test_ttg_c_witness_splits_the_surplus_equally(question):
     """With nonnegative payoffs a TTG's c witness pays each deviator its
-    total plus an equal share of vstar(J) - p(J), spread over the standalone
-    coalitions in proportion to their values: the closed form the c search
-    used before it called the division program, rebuilt here."""
+    total plus an equal share of vstar(J) - p(J), the closed form the c
+    search used before it called the division, rebuilt here.  Each
+    standalone coalition's value is split among J with no negative share;
+    which coalition pays whom is the flow's choice."""
     game, outcome = question
     p = payoff_vector(outcome, game.n)
     for k in range(1, game.n + 1):
@@ -278,11 +279,10 @@ def test_ttg_c_rows_are_the_proportional_split_of_the_surplus(question):
             structure = welfare.knapsack_profile(game).standalone(J)[1]
             assert result.plan.new_structure == structure
             assert result.gains == {j: surplus for j in J}
-            assert result.payoffs == tuple(
-                tuple((p[j] + surplus) * game.value(c.units) / best if j in J else ZERO
-                      for j in range(game.n))
-                for c in structure.coalitions
-            )
+            for c, row in zip(structure.coalitions, result.payoffs, strict=True):
+                assert sum(row, ZERO) == game.value(c.units)
+                assert all(x >= 0 for x in row)
+                assert not any(x for j, x in enumerate(row) if j not in J)
 
 
 def test_rule_game_c_membership_searches_only_short_sets(monkeypatch):
@@ -413,63 +413,58 @@ def test_scaling_memo_keeps_verdicts_of_interleaved_questions():
     assert run(clear=False) == run(clear=True)
 
 
-# -- the closed-form division ------------------------------------------------
+# -- the flow division against the linear program ------------------------------
 
 
 @st.composite
-def shared_pool_divisions(draw):
-    """One to three pools on one supporter set and floors on exactly those
-    supporters, floors possibly negative; the amounts are drawn around the
-    floors' sum, so the margin (sum of amounts - sum of floors) / k is
-    negative, zero or positive, and some pools may be empty."""
-    sup = tuple(sorted(draw(st.sets(st.integers(min_value=0, max_value=3),
-                                    min_size=1, max_size=4))))
-    floors = {j: draw(_rationals(-8, 8)) for j in sup}
-    total = max(sum(floors.values(), ZERO) + draw(_rationals(-4, 8)), ZERO)
-    cuts = draw(st.lists(_rationals(0, 3), min_size=1, max_size=3))
-    weights = cuts if sum(cuts) else [Q(1)] + cuts[1:]
-    return [(total * w / sum(weights), sup) for w in weights], floors
+def division_questions(draw):
+    """A :func:`division_instances` draw, an agent with a floor and an agent
+    without one (agent 4 is in no pool), each to be maximized."""
+    pools, floors = draw(division_instances())
+    floored = draw(st.sampled_from(sorted(floors)))
+    unfloored = draw(st.sampled_from(sorted(set(range(5)) - set(floors))))
+    return pools, floors, floored, unfloored
 
 
-def _totals(shares, agents):
-    return {j: sum((share.get(j, ZERO) for share in shares), ZERO) for j in agents}
+def _program_division(pools, floors, maximize=None):
+    """The division as a linear program, solved by ``lp.solve``: one equality
+    per pool, a nonnegative margin column and one row ``shares(j) - margin
+    >= floor`` per floored agent.  Returns the largest margin (with
+    ``maximize``: that agent's largest total), or None when infeasible."""
+    builder = lp.ProgramBuilder()
+    for c, (amount, sup) in enumerate(pools):
+        builder.add([(c, j) for j in sup], "==", amount)
+    builder.var("eps")
+    for j, floor in floors.items():
+        row = {(c, j): Q(1) for c, (_, sup) in enumerate(pools) if j in sup}
+        builder.add({**row, "eps": Q(-1)}, ">=", floor)
+    objective = ["eps"] if maximize is None else [
+        (c, maximize) for c, (_, sup) in enumerate(pools) if maximize in sup]
+    result, _ = builder.solve(maximize=objective)
+    assert result.status in ("optimal", "infeasible")
+    return result.objective_value if result.status == "optimal" else None
 
 
-@example(([(Q(6), (0, 1))], {0: Q(-2), 1: Q(3)}))  # negative floor, margin 5/2
-@example(([(Q(5), (0, 1))], {0: Q(2), 1: Q(3)}))  # margin exactly 0
-@example(([(Q(4), (0, 1))], {0: Q(-10), 1: Q(2)}))  # floor + margin < 0: the LP
-@example(([(Q(1), (0, 1))], {0: Q(2), 1: Q(3)}))  # negative margin: the LP
-@example(([(Q(4), (0, 1)), (ZERO, (0, 1)), (Q(8), (0, 1))], {0: Q(-1), 1: Q(5)}))
+@example(([(Q(6), (0, 1))], {0: Q(-2), 1: Q(3)}, 0, 2))  # negative floor, margin 5/2
+@example(([(Q(5), (0, 1))], {0: Q(2), 1: Q(3)}, 1, 4))  # margin exactly 0
+@example(([(Q(4), (0, 1))], {0: Q(-10), 1: Q(2)}, 0, 3))  # floor + (A - F) / k < 0
+@example(([(Q(1), (0, 1))], {0: Q(2), 1: Q(3)}, 1, 2))  # negative margin
+@example(([(Q(4), (0, 1)), (ZERO, (0, 1)), (Q(8), (0, 1))], {0: Q(-1), 1: Q(5)}, 0, 4))
+# blocked twice: the margin drops from 7/3 to 3/2 to 1
+@example(([(Q(4), (1,)), (Q(2), (1, 2)), (Q(2), (0, 2)), (Q(1), (0, 1))],
+          {0: Q(2), 1: ZERO, 2: ZERO}, 2, 3))
 @settings(max_examples=300, deadline=None)
-@given(shared_pool_divisions())
-def test_closed_form_division_matches_the_program(instance):
-    pools, floors = instance
-    closed = deviations._equal_margin_split(pools, floors)
+@given(division_questions())
+def test_flow_division_matches_the_program(question):
+    pools, floors, floored, unfloored = question
     answer = deviations._divide_strictly(pools, floors)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(deviations, "_equal_margin_split", lambda pools, floors: None)
-        by_lp = deviations._divide_strictly(pools, floors)
-    margin = (sum(a for a, _ in pools) - sum(floors.values(), ZERO)) / len(floors)
-    applies = margin >= 0 and all(f + margin >= 0 for f in floors.values())
-    assert (closed is not None) == applies
-    assert answer == (closed if applies else by_lp)
-    if closed is not None:
-        # the margin and every agent's total are the program's; only the
-        # rows of several pools may be another optimal vertex
-        assert closed[0] == by_lp[0] == margin
-        assert _totals(closed[1], floors) == _totals(by_lp[1], floors)
-        assert _totals(closed[1], floors) == {j: f + margin for j, f in floors.items()}
-        for (amount, sup), share in zip(pools, closed[1]):
-            assert sorted(share) == list(sup)
-            assert sum(share.values(), ZERO) == amount
-            assert all(x >= 0 for x in share.values())
-        if len(pools) == 1:
-            assert closed == by_lp
-    # the closed form answers only the margin question of pools shared by
-    # exactly the floored agents
-    assert deviations._equal_margin_split(pools, {**floors, 9: ZERO}) is None
-    other = (ZERO, tuple(sorted(set(pools[0][1]) ^ {9})))
-    assert deviations._equal_margin_split(pools + [other], floors) is None
+    assert (None if answer is None else answer[0]) == _program_division(pools, floors)
+    for agent in (floored, unfloored):
+        best = deviations._divide_strictly(pools, floors, maximize=agent)
+        optimum = _program_division(pools, floors, maximize=agent)
+        assert (best is None) == (optimum is None)
+        if best is not None:
+            assert sum((share.get(agent, ZERO) for share in best[1]), ZERO) == optimum
 
 
 # -- r/o membership against a full enumeration scored in Fractions ------------

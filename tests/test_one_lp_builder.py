@@ -2,8 +2,8 @@
 no module but ``lp.py`` constructs a ``LinearProgram`` itself.  Both
 stabilizations share one constraint-generation engine, so the library calls
 ``lp.solve_with_separation`` from one place.  Deviation search, the convexity
-witness and greedy construction share one division program, so builders are
-opened in five functions only."""
+witness and greedy construction split values by a max-flow, not a program,
+so builders are opened in four functions only."""
 
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ def test_solve_with_separation_has_one_caller():
     assert len(found) == 1, found
 
 
-def test_program_builders_are_opened_in_five_functions():
+def test_program_builders_are_opened_in_four_functions():
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -54,7 +54,6 @@ def test_program_builders_are_opened_in_five_functions():
     assert found == {
         "core._stable_totals",
         "core.stabilize_structure",
-        "deviations._divide_strictly",
         "welfare._feasible_by_lp",
         "corpus._partition_stabilizable",
     }
