@@ -330,54 +330,58 @@ def stabilize(game: TTG) -> CoreVerdict:
 
     Every stable outcome maximizes welfare, so when the canonical structure
     has no stable totals (:func:`_stable_totals`), no stable outcome exists
-    and the verdict carries the certificate.  Otherwise each agent's total
-    is spread over the coalitions proportionally to coalition value.
+    and the verdict carries the certificate.  Otherwise the totals are split
+    over the coalitions by :func:`_stable_outcome`.
     """
     total, _, cs = welfare.max_welfare_overlapping(game)
     if total == 0:
         empty = Outcome(CoalitionStructure(()), ())
         return CoreVerdict(stable=True, outcome=empty)
-    p, cert = _stable_totals(game, cs)
-    if p is None:
-        return CoreVerdict(stable=False, certificate=cert)
-    values = [game.value(c.units) for c in cs.coalitions]
-    payoffs = tuple(tuple(x * v / total for x in p) for v in values)
-    outcome = Outcome(cs, payoffs)
-    problems = validate_outcome(game, outcome)
-    if problems:  # pragma: no cover - guarded by construction
-        raise AssertionError("stabilize built an invalid outcome: " + "; ".join(problems))
-    return CoreVerdict(stable=True, outcome=outcome)
+    return _stable_outcome(game, cs)
 
 
 def stabilize_structure(game: Game, cs: CoalitionStructure) -> CoreVerdict:
     """Decide whether this particular structure admits a stable division.
 
-    A structure over capacity raises :class:`GameError`.  Stable totals from
-    :func:`_stable_totals` are split into per-coalition entries (free,
-    supported agents only) by one small program: each coalition's entries
-    sum to its value, each agent's to its total.  The agent guard holds for
-    TTGs too: the separation rounds grow with n.
+    A structure over capacity raises :class:`GameError`.  Stable totals are
+    split over the structure by :func:`_stable_outcome`.  The agent guard
+    holds for TTGs too: the separation rounds grow with n.
     """
-    n = game.n
-    if n > SUBSET_GUARD:
+    if game.n > SUBSET_GUARD:
         raise GameError(f"subset enumeration supports at most {SUBSET_GUARD} agents")
     problems = validate_structure(game, cs)
     if problems:
         raise GameError("invalid structure: " + "; ".join(problems))
+    return _stable_outcome(game, cs)
+
+
+def _stable_outcome(game: Game, cs: CoalitionStructure) -> CoreVerdict:
+    """The stable outcome on ``cs``, or the certificate that none exists.
+
+    The totals of :func:`_stable_totals` are split by the deviation division
+    at margin 0: pools are coalition values, floors are the totals.  Gale's
+    condition holds: the coalitions inside N∖T form a structure of N∖T, worth
+    at most vstar(N∖T) <= p(N∖T), so the pools touching T hold at least p(T).
+    A coalition without support is worth 0 and gets a zero row.
+    """
+    from ocfgames import deviations  # deferred: deviations builds on this module
+
     p, cert = _stable_totals(game, cs)
     if p is None:
         return CoreVerdict(stable=False, certificate=cert)
-    builder = lp.ProgramBuilder()
-    for i, c in enumerate(cs.coalitions):
-        builder.add([(i, j) for j in sorted(c.support)], "==", game.value(c.units))
-    for j in range(n):
-        builder.add([(i, j) for i, c in enumerate(cs.coalitions) if j in c.support],
-                    "==", p[j])
-    result, x = builder.solve(free=True)
-    if result.status == "infeasible":  # pragma: no cover - see _stable_totals
-        raise AssertionError("stable totals do not split over the structure")
-    payoffs = tuple(tuple(x.get((i, j), ZERO) for j in range(n)) for i in range(len(cs)))
-    return CoreVerdict(stable=True, outcome=Outcome(cs, payoffs, allow_negative=True))
+    pools = [(game.value(c.units), tuple(sorted(c.support)))
+             for c in cs.coalitions if c.support]
+    division = deviations._divide_strictly(pools, dict(enumerate(p)))
+    if division is None or division[0] != 0:
+        raise ArithmeticError(f"stable totals {p} do not split over the structure")
+    shares = iter(division[1])
+    rows = (next(shares) if c.support else {} for c in cs.coalitions)
+    payoffs = tuple(tuple(row.get(j, ZERO) for j in range(game.n)) for row in rows)
+    outcome = Outcome(cs, payoffs)
+    problems = validate_outcome(game, outcome)
+    if problems:  # pragma: no cover - guarded by construction
+        raise AssertionError("a stable split is an invalid outcome: " + "; ".join(problems))
+    return CoreVerdict(stable=True, outcome=outcome)
 
 
 def _stable_totals(
@@ -386,8 +390,8 @@ def _stable_totals(
     """Per-agent totals of a stable division of ``cs`` and ``None``, or
     ``None`` and a :class:`BalancedCollection` proving that none exists.
 
-    ``cs`` must be within capacity.  With free entries, a division exists
-    iff nonnegative totals meet the subset condition and sum, on each
+    ``cs`` must be within capacity.  A division exists iff nonnegative
+    totals meet the subset condition and sum, on each
     connected component of the coalition supports, to its coalitions'
     values.  One total row implies the component rows: once the subset
     condition holds, each component C of a valid structure has

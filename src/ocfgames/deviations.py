@@ -11,12 +11,14 @@ from its old coalitions:
   coalition and collectively claim whatever its new value leaves over after
   the non-deviators receive their old shares.
 
-Searches are grid-complete, not continuum-complete: deviator contributions
-range over multiples of ``1/grid`` weight units, new structures use at most
-the permitted number of coalitions, and every verdict records that
-resolution.  Untouched original coalitions keep their exact (possibly
-off-grid) contributions.  Among profitable plans, the one with the largest
-total deviator income is preferred (ties broken by enumeration order).
+Searches are grid searches: deviator contributions range over multiples of
+``1/grid`` weight units, new structures use at most the permitted number of
+coalitions, and every verdict records that resolution.  They are
+grid-complete but for optimistic TTG top-ups (:func:`find_o_deviation`).
+Untouched original coalitions keep their exact (possibly off-grid)
+contributions.  r and o make one choice per shared coalition in one
+candidate loop; among profitable plans, the one with the largest total
+deviator income is preferred (ties broken by enumeration order).
 
 Plans are scored in integers.  Contributions are counted in units of
 ``1/M`` and incomes in units of ``1/D``, where ``D`` clears the
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import sub
 from typing import FrozenSet, Iterable, Optional, Sequence
 
 from ocfgames import welfare
@@ -230,7 +233,7 @@ class _Search:
         # r and o keep or rebuild every mixed coalition: the new ones get the rest
         self.budget = None if cap is None else max(0, cap - len(self.mixed))
         self.dev_only = [i for i, sup in enumerate(s.supports) if sup <= self.J]
-        private = {tuple(s.units[i][j] for j in self.Js) for i in self.dev_only}
+        private = {self.held(i) for i in self.dev_only}
         self._memo = _enumeration_memo(game)
         self._key = (s.M, s.g, self.Js, tuple(sorted(private)))
         # Q(u, M) by u, for the rows this game's searches build at scale M,
@@ -239,6 +242,10 @@ class _Search:
 
     def full_caps(self) -> tuple[int, ...]:
         return tuple(self.w[j] for j in self.Js)
+
+    def held(self, i: int) -> tuple[int, ...]:
+        """The deviators' units in coalition i (over sorted(J))."""
+        return tuple(self.units[i][j] for j in self.Js)
 
     def ceil_grid(self, x) -> int:
         """The least multiple of the grid step that is at least ``x``."""
@@ -670,32 +677,16 @@ def find_r_deviation(
     always dissolve into the rebuilding budget.
     """
     ctx = _Search(game, outcome, J, cap, grid)
-    resolution = _resolution(cap, grid)
-    touched = [i for i in ctx.mixed if any(ctx.units[i][j] for j in ctx.Js)]
-    forced_keep = [i for i in ctx.mixed if i not in touched]
     payoffs = ctx.scaling.payoffs
-    candidates = []
-    for k in range(len(touched) + 1):
-        for drop in itertools.combinations(touched, k):
-            kept = forced_keep + [i for i in touched if i not in drop]
-            caps = tuple(
-                ctx.w[j] - sum(ctx.units[i][j] for i in kept) for j in ctx.Js
-            )
-            income = sum(payoffs[i][j] for i in kept for j in ctx.Js)
-            base = None
-            for score, structure in ctx.ranked(caps, ctx.budget, income):
-                if base is None:
-                    base = {
-                        j: sum((outcome.payoffs[i][j] for i in kept), ZERO)
-                        for j in ctx.Js
-                    }
-                    kept_t = tuple(sorted(kept))
-                    abandoned = tuple(sorted(set(drop) | set(ctx.dev_only)))
-                candidates.append(
-                    _Candidate(score, base, (), caps, structure,
-                               kept=kept_t, abandoned=abandoned)
-                )
-    return _try_best_first(ctx, candidates, resolution)
+    keep = [(ctx.held(i), sum(payoffs[i][j] for j in ctx.Js), True) for i in ctx.mixed]
+    drop = ((0,) * len(ctx.Js), 0, False)
+    touched = [k for k, (held, _, _) in enumerate(keep) if any(held)]
+    combos = (
+        tuple(drop if k in dropped else choice for k, choice in enumerate(keep))
+        for size in range(len(touched) + 1)
+        for dropped in itertools.combinations(touched, size)
+    )
+    return _try_choices(ctx, combos, _resolution(cap, grid))
 
 
 def find_o_deviation(
@@ -708,46 +699,54 @@ def find_o_deviation(
     contribution vector (per value level, minimal on the grid, plus
     "unchanged" and "abandon"); they collectively claim the coalition's new
     value minus the non-deviators' old shares, and spend freed units on new
-    deviator-only coalitions.
+    deviator-only coalitions.  A TTG top-up puts in exactly the shortfall to
+    a threshold (at least one grid step), so deviators who must each chip
+    in to share a claim are missed: the search is not grid-complete there.
     """
     ctx = _Search(game, outcome, J, cap, grid)
-    resolution = _resolution(cap, grid)
-    options = [_o_mods(ctx, i) for i in ctx.mixed]
+    options = [[(vec, take, False) for vec, take in _o_mods(ctx, i)] for i in ctx.mixed]
+    return _try_choices(ctx, itertools.product(*options), _resolution(cap, grid))
+
+
+def _try_choices(ctx: _Search, combos, resolution) -> DeviationResult:
+    """The r and o candidate loop.  Each combo holds one choice per shared
+    coalition, in ``ctx.mixed`` order: (vector over sorted(J), amount in
+    units of 1/D, fixed).  A fixed choice keeps the coalition and the
+    deviators' recorded shares, which sum to its amount; any other claims
+    its amount as a pool of the vector's supporters."""
     full = ctx.full_caps()
     candidates = []
-    for combo in itertools.product(*options):
-        left = list(full)
-        for vec, _ in combo:
-            for k, u in enumerate(vec):
-                left[k] -= u
-        if any(c < 0 for c in left):
+    for combo in combos:
+        caps, income = full, 0
+        for vec, amount, _ in combo:
+            caps, income = tuple(map(sub, caps, vec)), income + amount
+        if min(caps) < 0:
             continue
-        caps = tuple(left)
         plan = None
-        for score, structure in ctx.ranked(caps, ctx.budget, sum(t for _, t in combo)):
+        for score, structure in ctx.ranked(caps, ctx.budget, income):
             if plan is None:
-                plan = _o_plan(ctx, combo)
-            takes, kept, abandoned, modified = plan
-            candidates.append(
-                _Candidate(score, {}, takes, caps, structure,
-                           kept=kept, abandoned=abandoned, modified=modified)
-            )
+                plan = _plan(ctx, combo)
+            base, takes, kept, abandoned, modified = plan
+            candidates.append(_Candidate(score, base, takes, caps, structure,
+                                         kept, abandoned, modified))
     return _try_best_first(ctx, candidates, resolution)
 
 
-def _o_plan(ctx: _Search, combo) -> tuple:
-    """(takes, kept, abandoned, modified) of one choice per shared coalition."""
+def _plan(ctx: _Search, combo) -> tuple:
+    """(base, takes, kept, abandoned, modified) of a :func:`_try_choices` combo."""
+    intact = [i for i, (_, _, fixed) in zip(ctx.mixed, combo) if fixed]
+    base = {j: sum((ctx.outcome.payoffs[i][j] for i in intact), ZERO) for j in ctx.Js}
     takes, kept, modified, abandoned = [], [], [], list(ctx.dev_only)
-    for i, (vec, take) in zip(ctx.mixed, combo):
-        if vec == tuple(ctx.units[i][j] for j in ctx.Js):
+    for i, (vec, amount, fixed) in zip(ctx.mixed, combo):
+        if vec == ctx.held(i):
             kept.append(i)
         elif not any(vec):
             abandoned.append(i)
         else:
             modified.append((i, vec))
-        if take > 0:
-            takes.append((take, frozenset(ctx.supporters(vec))))
-    return tuple(takes), tuple(kept), tuple(sorted(abandoned)), tuple(modified)
+        if amount > 0 and not fixed:
+            takes.append((amount, frozenset(ctx.supporters(vec))))
+    return base, tuple(takes), tuple(kept), tuple(sorted(abandoned)), tuple(modified)
 
 
 def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], int]]:
@@ -770,7 +769,7 @@ def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], int]]:
 
     zero = (0,) * len(ctx.Js)
     mods: dict[tuple[int, ...], int] = {zero: 0}
-    unchanged = tuple(ctx.units[i][j] for j in ctx.Js)
+    unchanged = ctx.held(i)
     if any(unchanged):
         t = take_of(unchanged)
         if t > 0:

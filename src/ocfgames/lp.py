@@ -10,7 +10,8 @@ value and the certificate are read back out as Fractions.  Results are
 exact; infeasible programs come back with a certificate (one multiplier per
 constraint) that provably rules out any feasible point, and every answer is
 re-checked against the original constraints, in Fractions, before it is
-returned.  :class:`ProgramBuilder` assembles programs over keyed variables.
+returned.  :class:`ProgramBuilder` assembles feasibility programs over keyed
+variables; a program with an objective is built as a :class:`LinearProgram`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ Terms = Union[dict[Hashable, Fraction], Iterable[Hashable]]
 
 
 class ProgramBuilder:
-    """Assembles a :class:`LinearProgram` over keyed variables.
+    """Assembles a feasibility :class:`LinearProgram` (no objective, every
+    variable nonnegative) over keyed variables.
 
     A key is any hashable value; it takes the next column the first time it
     is seen, by :meth:`var` or in a row.  Rows are ``{key: coeff}`` dicts, or
@@ -86,19 +88,13 @@ class ProgramBuilder:
         """The column of ``key``, declared now if it is new."""
         return self.columns.setdefault(key, len(self.columns))
 
-    def _sparse(self, terms: Terms) -> dict[int, Fraction]:
-        cols = self.columns
-        if isinstance(terms, dict):
-            return {cols.setdefault(k, len(cols)): a for k, a in terms.items()}
-        return {cols.setdefault(k, len(cols)): ONE for k in terms}
-
     def add(self, terms: Terms, rel: str, rhs: Fraction) -> None:
-        self.rows.append((self._sparse(terms), rel, rhs))
+        cols = self.columns
+        pairs = terms.items() if isinstance(terms, dict) else ((k, ONE) for k in terms)
+        self.rows.append(({cols.setdefault(k, len(cols)): a for k, a in pairs}, rel, rhs))
 
-    def program(self, maximize: Optional[Terms] = None, free: bool = False) -> LinearProgram:
-        """The program so far, maximizing ``maximize`` (terms as for a row)
-        when given; ``free`` frees every variable."""
-        objective = None if maximize is None else self._sparse(maximize)
+    def program(self) -> LinearProgram:
+        """The program so far."""
         n = len(self.columns)
 
         def dense(terms):
@@ -110,15 +106,12 @@ class ProgramBuilder:
         return LinearProgram(
             tuple(map(str, self.columns)),
             tuple((dense(terms), rel, rhs) for terms, rel, rhs in self.rows),
-            None if objective is None else (dense(objective), "max"),
-            frozenset(range(n)) if free else frozenset(),
         )
 
-    def solve(self, maximize: Optional[Terms] = None,
-              free: bool = False) -> tuple[LPResult, dict[Hashable, Fraction]]:
+    def solve(self) -> tuple[LPResult, dict[Hashable, Fraction]]:
         """The result of :func:`solve` and each key's value (empty when the
         result has no assignment)."""
-        result = solve(self.program(maximize, free))
+        result = solve(self.program())
         values = dict(zip(self.columns, result.assignment or ()))
         return result, values
 

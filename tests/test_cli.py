@@ -84,6 +84,17 @@ def test_stabilize_writes_an_outcome(company, tmp_path, capsys):
     assert core.check_group_rationality(g, stable).stable
 
 
+def test_stable_outcomes_read_back_as_plain_outcomes(company, tmp_path, capsys):
+    game, _, _ = company
+    stable, balanced = tmp_path / "stable.json", tmp_path / "balanced.json"
+    assert cli.main(["stabilize", "--game", game, "--out", str(stable)]) == 0
+    assert cli.main(["balanced", "--game", game, "--structure", str(stable),
+                     "--out", str(balanced)]) == 0
+    for out in (stable, balanced):
+        assert cli.main(["check-core", "--game", game, "--kind", "c",
+                         "--outcome", str(out)]) == 0
+
+
 def test_stabilize_reports_emptiness(tmp_path, capsys):
     game = tmp_path / "empty.json"
     io.save_game(corpus.empty_core_game(), str(game))

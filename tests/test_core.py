@@ -130,8 +130,10 @@ def test_stabilize_structure_agrees_with_the_lp_on_rule_based_games():
             assert verdict.stable == _direct_lp_feasible(game, cs)
             seen[verdict.stable] += 1
             if verdict.stable:
-                assert validate_outcome(game, verdict.outcome,
-                                        individual_rationality=False) == []
+                outcome = verdict.outcome
+                assert not outcome.allow_negative
+                assert all(x >= 0 for row in outcome.payoffs for x in row)
+                assert validate_outcome(game, outcome, individual_rationality=False) == []
                 assert core.check_payoffs(game, payoff_vector(verdict.outcome, game.n)).stable
             else:
                 assert verdict.certificate.check(game, cs) == []

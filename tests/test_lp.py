@@ -282,23 +282,23 @@ def test_builder_columns_follow_declaration_and_rows_follow_insertion():
     b.add({("y", 1): Q(2), "z": Q(-1)}, "<=", Q(3))  # ("y", 1) is column 1
     b.add(["x", "z"], ">=", Q(1))  # x is column 2; a key list means 1
     assert b.var(("y", 1)) == 1
-    program = b.program(maximize=["x"], free=True)
-    assert len(program.names) == 3
+    program = b.program()
+    assert program.names == ("z", "('y', 1)", "x")
     assert program.constraints == (
         ((Q(-1), Q(2), ZERO), "<=", Q(3)),
         ((Q(1), ZERO, Q(1)), ">=", Q(1)),
     )
-    assert program.objective == ((ZERO, ZERO, Q(1)), "max")
-    assert program.free == frozenset({0, 1, 2})
-    assert b.program().objective is None and b.program().free == frozenset()
+    assert program.objective is None and program.free == frozenset()
 
 
 def test_builder_solve_reads_values_back_by_key():
     b = lp.ProgramBuilder()
     b.add([("a", 0), ("b", 0)], "==", Q(3))
+    b.add({("a", 0): Q(2)}, ">=", Q(1))
     b.add({("a", 0): Q(2)}, "<=", Q(1))
-    result, x = b.solve(maximize={("a", 0): Q(1), ("b", 0): Q(-1)})
-    assert result == lp.solve(b.program(maximize={("a", 0): Q(1), ("b", 0): Q(-1)}))
+    result, x = b.solve()
+    assert result == lp.solve(b.program())
+    assert result.status == "feasible"
     assert x == {("a", 0): Q(1, 2), ("b", 0): Q(5, 2)}
     b.add([("b", 0)], ">=", Q(4))
     result, x = b.solve()

@@ -1,7 +1,9 @@
 """Every found deviation is assembled in one place: only
 ``deviations._package`` constructs a ``DeviationResult`` that is not
 ``found=False``, so every search that reports a deviation, a TTG's c witness
-included, passes the same strict-gain check."""
+included, passes the same strict-gain check.  r and o candidates come from
+one loop: only ``find_c_deviation`` and ``_try_choices`` construct a
+``_Candidate``."""
 
 from __future__ import annotations
 
@@ -23,6 +25,19 @@ def _found_argument(node: ast.Call):
         if keyword.arg == "found":
             return keyword.value
     return node.args[0] if node.args else None
+
+
+def _constructors(name: str) -> set[str]:
+    """The functions and methods (``module.function``) that call ``name``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and _called_name(node) == name
+                for node in ast.walk(func)
+            ):
+                found.add(f"{path.stem}.{func.name}")
+    return found
 
 
 class _Builders(ast.NodeVisitor):
@@ -53,3 +68,10 @@ def test_only_package_builds_found_deviations():
         builders.visit(ast.parse(path.read_text(encoding="utf-8")))
         found |= builders.found
     assert found == {"deviations._package"}
+
+
+def test_r_and_o_candidates_come_from_one_loop():
+    assert _constructors("_Candidate") == {
+        "deviations.find_c_deviation",
+        "deviations._try_choices",
+    }

@@ -1,7 +1,9 @@
 """Every supply-demand question of the library is one integer max-flow:
 the rule cover's feasibility test and the strict division of a deviation
 both hand ``welfare._route`` their supplies, demands and links, and no other
-function searches for augmenting paths.  Deviation search, the convexity
+function searches for augmenting paths.  The split of stable totals over a
+structure is that division at margin 0, so both stabilizations reach
+``_divide_strictly`` through one helper.  Deviation search, the convexity
 witness and greedy construction solve no linear program, so neither
 ``deviations`` nor ``convexity`` imports ``lp``."""
 
@@ -58,6 +60,15 @@ def test_one_function_searches_for_augmenting_paths():
 
 def test_the_rule_cover_and_the_division_share_the_flow():
     assert _callers("_route") == {"welfare._feasible_by_flow", "deviations._divide_strictly"}
+
+
+def test_stable_outcomes_are_split_by_the_deviation_division():
+    assert _callers("_divide_strictly") == {
+        "deviations.find_c_deviation",
+        "deviations._Search.try_candidate",
+        "core._stable_outcome",
+    }
+    assert _callers("_stable_outcome") == {"core.stabilize", "core.stabilize_structure"}
 
 
 def _imported(tree: ast.AST):

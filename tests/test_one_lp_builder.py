@@ -2,8 +2,9 @@
 no module but ``lp.py`` constructs a ``LinearProgram`` itself.  Both
 stabilizations share one constraint-generation engine, so the library calls
 ``lp.solve_with_separation`` from one place.  Deviation search, the convexity
-witness and greedy construction split values by a max-flow, not a program,
-so builders are opened in four functions only."""
+witness, greedy construction and the split of stable totals over a structure
+divide values by a max-flow, not a program, so builders are opened in three
+functions only."""
 
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ def test_solve_with_separation_has_one_caller():
     assert len(found) == 1, found
 
 
-def test_program_builders_are_opened_in_four_functions():
+def test_program_builders_are_opened_in_three_functions():
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -53,7 +54,6 @@ def test_program_builders_are_opened_in_four_functions():
                     found.add(f"{path.stem}.{func.name}")
     assert found == {
         "core._stable_totals",
-        "core.stabilize_structure",
         "welfare._feasible_by_lp",
         "corpus._partition_stabilizable",
     }
