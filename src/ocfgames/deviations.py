@@ -32,17 +32,17 @@ built.  ``Fraction``s appear only for the pools a division splits and in
 the plan that is returned.  A division runs the rule cover's max-flow,
 :func:`welfare._route`.
 
-A TTG task is a rule with one requirement over every agent, so the minimal
-grid vectors of tasks, rules and optimistic top-ups come from one generator,
-:meth:`_Search.vectors_meeting`, and a TTG's value is read from its integer
-task ladder (``scaled_thresholds``, ``scaled_utilities``).  Deviation search
-keeps one bounded memo, ``_last_enumeration``, its scalings included.
+A TTG task is a rule with one requirement over every agent, so every
+coalition value is read from the game's one integer rule table
+(``scaled_rules``, one row per task or rule), and the minimal grid vectors
+of tasks, rules and optimistic top-ups come from one generator,
+:meth:`_Search.vectors_meeting`.  Deviation search keeps one bounded memo,
+``_last_enumeration``, its scalings included.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -122,9 +122,8 @@ class _Scaling:
     units: tuple[tuple[int, ...], ...]  # scaled contribution rows
     supports: tuple[FrozenSet[int], ...]
     p: tuple[Fraction, ...]  # payoff vector (zeros without an outcome)
-    # a TTG's task thresholds in units of 1/M, increasing; None for a
-    # rule-based game
-    thresholds: Optional[tuple[int, ...]]
+    # the game's rule table without its zero-value rows, needs in units of 1/M
+    rules: tuple[tuple[int, tuple[tuple[FrozenSet[int], int], ...]], ...]
     D: int  # lcm of the value scale and the payoffs' LCD: incomes in units of 1/D
     pD: tuple[int, ...]  # D * p
     payoffs: tuple[tuple[int, ...], ...]  # D * the outcome's payoff rows
@@ -187,8 +186,8 @@ def _scaling(game: Game, outcome: Optional[Outcome], grid: int) -> _Scaling:
         units=tuple(scaled(c.units, M) for c in coalitions),
         supports=tuple(c.support for c in coalitions),
         p=p,
-        thresholds=tuple(t * (M // game.scale) for t in game.scaled_thresholds)
-        if isinstance(game, TTG) else None,
+        rules=tuple((value, tuple((grp, need * (M // game.scale)) for grp, need in reqs))
+                    for value, reqs in game.scaled_rules if value > 0),
         D=D,
         pD=scaled(p, D),
         payoffs=tuple(scaled(row, D) for row in rows),
@@ -273,14 +272,21 @@ class _Search:
     def scaled_value(self, vec: Sequence[int], base: Sequence[int] = ()) -> int:
         """The game's value scale times the value of the coalition that puts
         ``vec`` (over sorted(J)) and the integer row ``base``, zero at every
-        deviator, together; both are in units of 1/M.  A TTG's value is read
-        from its integer task ladder."""
-        thresholds = self.scaling.thresholds
-        if thresholds is None:
-            row = self.scaled_row(vec, [self._fraction(u) for u in base] if base else None)
-            return int(self.game.value(row) * self.game.value_scale)
-        k = bisect_right(thresholds, sum(base) + sum(vec))
-        return self.game.scaled_utilities[k - 1] if k else 0
+        deviator, together; both are in units of 1/M.  The value is the best
+        row of the rule table whose every need the coalition meets."""
+        row = list(base) if base else [0] * self.game.n
+        for j, u in zip(self.Js, vec):
+            row[j] = u
+        units = row.__getitem__
+        best = 0
+        for value, reqs in self.scaling.rules:
+            if value > best:
+                for grp, need in reqs:
+                    if sum(map(units, grp)) < need:
+                        break
+                else:
+                    best = value
+        return best
 
     def vectors_meeting(
         self, needs: Iterable[tuple[FrozenSet[int], int]], caps: Sequence[int]
@@ -302,24 +308,17 @@ class _Search:
         """Positive-value deviator coalition vectors worth considering, with
         their values in units of 1/value scale.
 
-        The minimal grid vectors of every task (one requirement over J) or
-        rule, plus the deviators' original private coalitions (which may be
-        off-grid).
+        The minimal grid vectors of every row of the rule table (a task is
+        one requirement over J), plus the deviators' original private
+        coalitions (which may be off-grid).
         """
         key = ("vectors", self._key, caps)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        thresholds = self.scaling.thresholds
-        if thresholds is None:
-            minimal = self._rule_vectors(caps)
-        else:
-            minimal = itertools.chain.from_iterable(
-                self.vectors_meeting([(self.J, self.ceil_grid(T))], caps) for T in thresholds
-            )
         private = (vec for vec in self._key[3] if all(u <= c for u, c in zip(vec, caps)))
         found: dict[tuple[int, ...], int] = {}
-        for vec in itertools.chain(minimal, private):
+        for vec in itertools.chain(self._rule_vectors(caps), private):
             if vec not in found:
                 v = self.scaled_value(vec)
                 if v > 0:
@@ -328,28 +327,26 @@ class _Search:
         return _remember(self._memo, key, out)
 
     def _rule_vectors(self, caps: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        """Minimal grid vectors satisfying some rule using deviators only."""
-        for rule in self.game.rules:
-            if rule.value <= 0:
+        """Minimal grid vectors meeting some row of the rule table using
+        deviators only."""
+        for _, reqs in self.scaling.rules:
+            groups = [(grp & self.J, need) for grp, need in reqs]
+            if any(not grp and need > 0 for grp, need in groups):
                 continue
-            groups = [(req.agents & self.J, req.minimum) for req in rule.requirements]
-            if any(not grp and minimum > 0 for grp, minimum in groups):
-                continue
-            if all(not (a & b) for (a, _), (b, _) in itertools.combinations(groups, 2)):
+            if welfare._disjoint_within((grp for grp, _ in reqs), self.J):
                 yield from self.vectors_meeting(
-                    [(grp, self.ceil_grid(minimum * self.M))
-                     for grp, minimum in groups if minimum > 0],
-                    caps,
+                    [(grp, self.ceil_grid(need)) for grp, need in groups if need > 0], caps
                 )
             else:
-                yield from self._bounded_vectors(caps, rule)
+                yield from self._bounded_vectors(caps, groups)
 
-    def _bounded_vectors(self, caps, rule) -> Iterable[tuple[int, ...]]:
-        """Exhaustive grid vectors for rules with overlapping requirements."""
-        bound = max((self.ceil_grid(req.minimum * self.M) for req in rule.requirements),
-                    default=0)
+    def _bounded_vectors(self, caps, groups) -> Iterable[tuple[int, ...]]:
+        """Exhaustive grid vectors meeting ``groups``, (group within J, need)
+        pairs that overlap."""
+        bound = max(self.ceil_grid(need) for _, need in groups)
         for vec in _grid_vectors([min(c, bound) for c in caps], self.g):
-            if rule.satisfied_by(self.scaled_row(vec)):
+            if all(sum(u for j, u in zip(self.Js, vec) if j in grp) >= need
+                   for grp, need in groups):
                 yield vec
 
     def new_structures(self, caps: tuple[int, ...], budget: Optional[int]) -> tuple[list, list]:
@@ -774,12 +771,13 @@ def _o_mods(ctx: _Search, i: int) -> list[tuple[tuple[int, ...], int]]:
         t = take_of(unchanged)
         if t > 0:
             mods[unchanged] = t
-    if s.thresholds is not None:
+    if isinstance(ctx.game, TTG):
         pooled = sum(nondev)
-        # at least a token unit, to be allowed a share
+        # each task's one need, less the non-deviators' part, and at least a
+        # token unit, to be allowed a share
         vecs = itertools.chain.from_iterable(
-            ctx.vectors_meeting([(ctx.J, max(ctx.ceil_grid(T - pooled), ctx.g))], caps)
-            for T in s.thresholds
+            ctx.vectors_meeting([(ctx.J, max(ctx.ceil_grid(need - pooled), ctx.g))], caps)
+            for _, ((_, need),) in s.rules
         )
     else:
         vecs = _grid_vectors(caps, ctx.g)

@@ -76,15 +76,21 @@ def _check_weights(weights: Sequence) -> tuple[Fraction, ...]:
     return w
 
 
-def _set_integer_view(game, minima: Iterable[Fraction], values: Iterable[Fraction]) -> None:
-    """Store a game's integer view: ``scale``, the LCD of its weights and
-    ``minima`` (task thresholds or requirement minima); ``scaled_weights``,
-    the weights in units of ``1/scale``; and ``value_scale``, the LCD of
-    ``values`` (task utilities or rule values)."""
-    scale = common_denominator((*game.weights, *minima))
+def _set_integer_view(game, rules: Sequence[tuple[Fraction, Sequence[tuple]]]) -> None:
+    """Store a game's integer view of ``rules``, (value, ((agent group,
+    minimum), ...)) pairs in rule order: ``scale``, the LCD of the weights
+    and minima; ``scaled_weights``; ``value_scale``, the LCD of the values;
+    and ``scaled_rules``, one row per rule with values in units of
+    ``1/value_scale`` and weights in units of ``1/scale``."""
+    scale = common_denominator((*game.weights, *(m for _, reqs in rules for _, m in reqs)))
+    value_scale = common_denominator(v for v, _ in rules)
     object.__setattr__(game, "scale", scale)
     object.__setattr__(game, "scaled_weights", scaled(game.weights, scale))
-    object.__setattr__(game, "value_scale", common_denominator(values))
+    object.__setattr__(game, "value_scale", value_scale)
+    object.__setattr__(game, "scaled_rules", tuple(
+        (int(v * value_scale), tuple((grp, int(m * scale)) for grp, m in reqs))
+        for v, reqs in rules
+    ))
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,8 @@ class TTG:
     """Threshold task game: positive agent weights plus a monotone task list.
 
     Construction also derives the integer view (:func:`_set_integer_view`),
-    ``scaled_thresholds``, the task thresholds in units of ``1/scale``, and
-    ``scaled_utilities``, the task utilities in units of ``1/value_scale``.
+    one row per task, and ``scaled_thresholds``, the task thresholds in
+    units of ``1/scale``.
     """
 
     weights: tuple[Fraction, ...]
@@ -103,11 +109,10 @@ class TTG:
         object.__setattr__(self, "weights", _check_weights(self.weights))
         object.__setattr__(self, "tasks", normalize_tasks(self.tasks))
         object.__setattr__(self, "_hash", hash((self.weights, self.tasks)))
-        thresholds = [t.threshold for t in self.tasks]
-        utilities = [t.utility for t in self.tasks]
-        _set_integer_view(self, thresholds, utilities)
-        object.__setattr__(self, "scaled_thresholds", scaled(thresholds, self.scale))
-        object.__setattr__(self, "scaled_utilities", scaled(utilities, self.value_scale))
+        everyone = frozenset(range(self.n))
+        _set_integer_view(self, [(t.utility, ((everyone, t.threshold),)) for t in self.tasks])
+        object.__setattr__(self, "scaled_thresholds",
+                           tuple(need for _, ((_, need),) in self.scaled_rules))
 
     def __hash__(self) -> int:
         # the dataclass hash, computed once: cache lookups key on the game
@@ -196,11 +201,10 @@ class RuleBasedGame:
                 raise GameError(f"rule {k + 1} has positive value and no positive "
                                 "minimum: value is unbounded")
         object.__setattr__(self, "_hash", hash((self.weights, self.rules)))
-        _set_integer_view(
-            self,
-            [req.minimum for rule in self.rules for req in rule.requirements],
-            (rule.value for rule in self.rules),
-        )
+        _set_integer_view(self, [
+            (rule.value, [(req.agents, req.minimum) for req in rule.requirements])
+            for rule in self.rules
+        ])
 
     def __hash__(self) -> int:
         return self._hash

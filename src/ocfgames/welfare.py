@@ -4,8 +4,11 @@ For threshold task games everything reduces to an unbounded-knapsack profile
 over integer-scaled weight: ``U[w]`` is the best total utility obtainable by
 pooling ``w`` scaled weight units across any number of task copies.  For
 rule-based games the cover is computed by a pruned search over rule
-multisets with an exact feasibility check; its max-flow, :func:`_route`,
-also splits the pooled values of every deviation.
+multisets, in integers read from the game's rule table (``scaled_rules``),
+with an exact feasibility check: a max-flow when each rule's requirements
+share no agent of the coalition (:func:`_disjoint_within`, which deviation
+search shares), an LP otherwise.  The max-flow,
+:func:`_route`, also splits the pooled values of every deviation.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ VSTAR_CACHE_SIZE = 1024
 DP_CELL_BUDGET = 5_000_000
 # Most agents a computation that enumerates agent sets (2^n of them) accepts.
 SUBSET_GUARD = 16
+# Most rule instances in one multiset of the rule cover's search, which
+# recurses once per instance: kept well below the default recursion limit.
+COVER_INSTANCE_BUDGET = 512
 
 
 def scaled_total_weight(game: TTG) -> int:
@@ -262,31 +268,26 @@ def _vstar_cached(game: Game, S: FrozenSet[int], cap: Optional[int]) -> Fraction
 
 
 def _rule_cover(game: RuleBasedGame, S: FrozenSet[int], cap: Optional[int] = None) -> Fraction:
-    budget = game.total_weight(S)
-    usable: list[tuple[Rule, Fraction]] = []
-    for rule in game.rules:
-        if rule.value == 0:
-            continue
-        need = ZERO  # a lower bound on weight one instance consumes
-        ok = True
-        for req in rule.requirements:
-            inside = sum((game.weights[j] for j in req.agents & S), ZERO)
-            if inside < req.minimum:
-                # a single instance already exceeds what those agents have
-                ok = False
-                break
-            need = max(need, req.minimum)
-        if ok and need <= budget:
-            usable.append((rule, need))
-    if not usable:
-        return ZERO
-    usable.sort(key=lambda rn: rn[0].value / rn[1], reverse=True)
-    # nonincreasing, so the best density of a suffix is its first entry's
-    density = [rule.value / need for rule, need in usable]
+    """The best total value of rule instances ``S`` can fund, searched in
+    the units of the game's rule table.  Raises :class:`GameError` past
+    COVER_INSTANCE_BUDGET instances."""
+    weights = game.scaled_weights
+    budget = sum(weights[j] for j in S)
+    usable: list[tuple[Rule, int, int]] = []  # (rule, value, need)
+    for rule, (v, reqs) in zip(game.rules, game.scaled_rules):
+        # a single instance must fit what each group holds in S; the largest
+        # minimum, positive as the rule is not free, is a lower bound on the
+        # weight one instance consumes
+        if v and all(sum(weights[j] for j in grp & S) >= m for grp, m in reqs):
+            need = max(m for _, m in reqs)
+            if need <= budget:
+                usable.append((rule, v, need))
+    # by density, nonincreasing, so the best density of a suffix is its first entry's
+    usable.sort(key=lambda rvn: Q(rvn[1], rvn[2]), reverse=True)
 
-    best = ZERO
+    best = 0
 
-    def dfs(idx: int, multiset: tuple[int, ...], value: Fraction, spent: Fraction):
+    def dfs(idx: int, multiset: tuple[int, ...], value: int, spent: int):
         # the caller has found ``multiset`` feasible (the root one is empty)
         nonlocal best
         if value > best:
@@ -294,20 +295,32 @@ def _rule_cover(game: RuleBasedGame, S: FrozenSet[int], cap: Optional[int] = Non
         if cap is not None and len(multiset) >= cap:
             return
         for i in range(idx, len(usable)):
-            rule, need = usable[i]
+            rule, v, need = usable[i]
             if spent + need > budget:
                 continue
-            # optimistic bound: fill the rest at the best remaining density
-            if value + rule.value + (budget - spent - need) * density[i] <= best:
+            # optimistic bound: fill the rest at the best remaining density,
+            # v / need (times need > 0)
+            if (value + v - best) * need + (budget - spent - need) * v <= 0:
                 continue
             if not _multiset_feasible(
                 game, S, [usable[k][0] for k in multiset] + [rule]
             ):
                 continue
-            dfs(i, multiset + (i,), value + rule.value, spent + need)
+            if len(multiset) == COVER_INSTANCE_BUDGET:
+                raise GameError(f"the rule cover needs more than {COVER_INSTANCE_BUDGET} "
+                                f"rule instances; set a cap (--cap) of at most "
+                                f"{COVER_INSTANCE_BUDGET}")
+            dfs(i, multiset + (i,), value + v, spent + need)
 
-    dfs(0, (), ZERO, ZERO)
-    return best
+    dfs(0, (), 0, 0)
+    return Q(best, game.value_scale)
+
+
+def _disjoint_within(groups: Iterable[FrozenSet[int]], S: FrozenSet[int]) -> bool:
+    """Do ``groups`` share no agent of ``S``?  Then each agent of S meets at
+    most one requirement of a rule, and a max-flow is exact."""
+    inside = [grp & S for grp in groups]
+    return sum(map(len, inside)) == len(frozenset().union(*inside))
 
 
 def _multiset_feasible(
@@ -316,12 +329,8 @@ def _multiset_feasible(
     """Can agents in ``S`` fund one coalition per rule instance within capacity?"""
     if not instances:
         return True
-    disjoint = all(
-        not (a.agents & b.agents)
-        for rule in instances
-        for a, b in itertools.combinations(rule.requirements, 2)
-    )
-    if disjoint:
+    if all(_disjoint_within((req.agents for req in rule.requirements), S)
+           for rule in instances):
         return _feasible_by_flow(game, S, instances)
     return _feasible_by_lp(game, S, instances)
 

@@ -575,6 +575,19 @@ def test_large_weights_past_the_vector_limit_exit_two(tmp_path, capsys, weights,
     assert "enumeration too large" in _one_line_error(capsys)
 
 
+def test_a_rule_cover_past_its_instance_budget_exits_two(tmp_path, capsys):
+    """1500 instances of a one-unit rule used to recurse past the
+    interpreter's limit (exit 3); the cover's budget refuses them."""
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"agents": 1, "weights": [1500], "rules": [
+        {"requirements": [{"agents": [1], "min": 1}], "value": 1}]}))
+    argv = ["welfare", "--game", str(game), "--mode", "vstar", "--set", "1"]
+    assert cli.main(argv) == 2
+    assert "--cap" in _one_line_error(capsys)
+    assert cli.main(argv + ["--cap", "3"]) == 0
+    assert "value 3" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("game, outcome, argv", [
     ({"agents": True, "weights": [True], "tasks": [{"threshold": 1, "utility": True}]},
      None, ["welfare", "--mode", "overlapping"]),

@@ -764,23 +764,41 @@ def test_vectors_meeting_matches_a_brute_force_product(data):
     assert sorted(got) == expected
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_ttg_ladder_value_matches_the_fraction_value(data):
-    """A TTG's ``scaled_value(vec, base)`` is ``value_scale`` times
-    ``game.value`` of the row it stands for, on p/q weights and tasks."""
+def test_value_table_matches_the_fraction_value(data):
+    """``scaled_value(vec, base)``, read from the game's integer rule table,
+    is ``value_scale`` times ``game.value`` of the row it stands for: on
+    TTGs and on rule games with p/q weights, minima and values, zero-value
+    rules and overlapping groups, at grids 1-3."""
     fractions = st.fractions(min_value=Q(1, 6), max_value=4, max_denominator=6)
+    nonnegative = st.fractions(min_value=0, max_value=4, max_denominator=6)
     n = data.draw(st.integers(min_value=1, max_value=4), label="agents")
     weights = tuple(data.draw(st.lists(fractions, min_size=n, max_size=n), label="weights"))
-    tasks = data.draw(st.lists(st.builds(TaskType, fractions, fractions),
-                               min_size=1, max_size=4), label="tasks")
-    game = TTG(weights, tasks)
+    if data.draw(st.booleans(), label="task game"):
+        tasks = data.draw(st.lists(st.builds(TaskType, fractions, fractions),
+                                   min_size=1, max_size=4), label="tasks")
+        game = TTG(weights, tasks)
+    else:
+        rules = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="rules")):
+            reqs = tuple(
+                Requirement(data.draw(st.frozensets(st.integers(0, n - 1), min_size=1),
+                                      label="group"),
+                            data.draw(nonnegative, label="minimum"))
+                for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
+            )
+            value = data.draw(nonnegative, label="value")
+            # a free rule is refused: it keeps a zero value
+            rules.append(Rule(reqs, value if any(req.minimum for req in reqs) else ZERO))
+        game = RuleBasedGame(weights, tuple(rules))
     J = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1),
                   label="deviators")
     grid = data.draw(st.integers(min_value=1, max_value=3), label="grid")
     ctx = deviations._Search(game, None, J, None, grid)
-    vec = tuple(data.draw(st.integers(min_value=0, max_value=ctx.w[j]), label="vec")
-                for j in ctx.Js)
+    step = data.draw(st.sampled_from([ctx.g, 1]), label="step")  # grid or off-grid
+    vec = tuple(step * data.draw(st.integers(min_value=0, max_value=ctx.w[j] // step),
+                                 label="vec") for j in ctx.Js)
     base = tuple(0 if j in ctx.J else
                  data.draw(st.integers(min_value=0, max_value=ctx.w[j]), label="base")
                  for j in range(n))

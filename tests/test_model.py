@@ -99,7 +99,9 @@ def test_integer_view_of_a_p_over_q_task_game():
     assert g.scaled_thresholds == tuple(int(t.threshold * scale) for t in tasks) \
         == (15, 28)
     assert g.value_scale == lcm(5, 2) == 10
-    assert g.scaled_utilities == tuple(int(t.utility * 10) for t in tasks) == (6, 35)
+    # a task is one requirement over every agent
+    everyone = frozenset(range(3))
+    assert g.scaled_rules == ((6, ((everyone, 15),)), (35, ((everyone, 28),)))
     with pytest.raises(FrozenInstanceError):
         g.scale = 1
     assert "scale" not in repr(g)
@@ -118,6 +120,10 @@ def test_integer_view_of_a_p_over_q_rule_game():
     assert g.scale == scale == 12
     assert g.scaled_weights == tuple(int(w * scale) for w in weights) == (18, 12)
     assert g.value_scale == lcm(2, 3) == 6
+    assert g.scaled_rules == (
+        (15, ((frozenset({0}), 4), (frozenset({1}), 0))),
+        (14, ((frozenset({0, 1}), 9),)),
+    )
     with pytest.raises(FrozenInstanceError):
         g.scaled_weights = (1, 1)
 

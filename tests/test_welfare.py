@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -181,6 +182,22 @@ def test_rule_based_vstar_respects_the_structure_cap():
     assert welfare.vstar(g, S, cap=1) == 100
 
 
+def test_the_rule_cover_refuses_more_instances_than_its_budget(monkeypatch):
+    """One instance per unit of weight: past the budget the cover raises
+    GameError instead of recursing on, and a cap at or below the budget
+    never reaches it."""
+    assert welfare.COVER_INSTANCE_BUDGET < sys.getrecursionlimit()
+    monkeypatch.setattr(welfare, "COVER_INSTANCE_BUDGET", 5)
+    welfare._vstar_cached.cache_clear()
+    g = RuleBasedGame((Q(6),), (Rule((Requirement(frozenset({0}), Q(1)),), Q(1)),))
+    with pytest.raises(GameError, match="--cap"):
+        welfare.vstar(g, {0})
+    assert welfare.vstar(g, {0}, cap=5) == 5
+    assert welfare.vstar(g, {0}, cap=2) == 2
+    with pytest.raises(GameError, match="more than 5 rule instances"):
+        welfare.vstar(g, {0}, cap=6)
+
+
 def test_rule_based_vstar_singletons():
     g = corpus.four_escorts_game()
     for j in range(4):  # light agents meet no rule alone
@@ -229,15 +246,18 @@ _p_over_q = st.builds(Q, st.integers(0, 9), st.integers(1, 4))
 
 @st.composite
 def _disjoint_multisets(draw):
-    """A rule-based game with p/q weights, a multiset of its rules whose
-    requirements are pairwise disjoint within each rule, and an agent set."""
+    """A rule-based game with p/q weights, an agent set S and a multiset of
+    the game's rules whose requirements are pairwise disjoint within S in
+    each rule: they may share agents outside S."""
     n = draw(st.integers(1, 4))
     weights = tuple(draw(st.builds(Q, st.integers(1, 9), st.integers(1, 4)))
                     for _ in range(n))
+    S = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     rules = []
     for _ in range(draw(st.integers(1, 3))):
         owner = [draw(st.integers(-1, 2)) for _ in range(n)]  # -1: in no group
-        groups = [frozenset(j for j in range(n) if owner[j] == k) for k in range(3)]
+        groups = [frozenset(j for j in range(n) if owner[j] == k)
+                  | (draw(st.sets(st.integers(0, n - 1), max_size=2)) - S) for k in range(3)]
         reqs = tuple(Requirement(grp, draw(_p_over_q)) for grp in groups if grp)
         if any(req.minimum for req in reqs):  # a free rule is refused
             rules.append(Rule(reqs, Q(1)))
@@ -246,7 +266,6 @@ def _disjoint_multisets(draw):
     game = RuleBasedGame(weights, tuple(rules))
     instances = [rules[k] for k in draw(
         st.lists(st.integers(0, len(rules) - 1), min_size=1, max_size=4))]
-    S = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     return game, S, instances
 
 
@@ -263,6 +282,8 @@ _SHARED = RuleBasedGame(
 @example((_SHARED, frozenset({0, 1}), list(_SHARED.rules)))
 def test_integer_flow_test_agrees_with_the_lp_test(case):
     game, S, instances = case
+    assert all(welfare._disjoint_within((req.agents for req in rule.requirements), S)
+               for rule in instances)
     assert welfare._feasible_by_flow(game, S, instances) == \
         welfare._feasible_by_lp(game, S, instances)
 
