@@ -281,7 +281,7 @@ def _partition_stabilizable(game: TTG, blocks) -> bool:
         builder.add(S, "==", to_nonoverlapping(game, S))
     for S in core._subsets(game.n):
         builder.add(S, ">=", to_nonoverlapping(game, S))
-    return builder.solve()[0].status != "infeasible"
+    return builder.solve().status != "infeasible"
 
 
 def _run_partition_vs_overlap() -> list[Check]:

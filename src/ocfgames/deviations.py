@@ -364,29 +364,25 @@ class _Search:
         vectors = self.useful_vectors(caps)
         out: list = []
         tests = 0
-
-        def rec(start: int, left: tuple[int, ...], budget_left, chosen):
-            nonlocal tests
-            out.append(tuple(chosen))
+        # depth first on an explicit stack, children pushed last-first so
+        # that they pop in order: (first vector index, capacities left,
+        # budget left, vectors chosen)
+        stack = [(0, caps, budget, ())]
+        while stack:
+            start, left, budget_left, chosen = stack.pop()
+            out.append(chosen)
             if budget_left is not None and budget_left <= 0:
-                return
+                continue
             tests += len(vectors) - start
             if tests > FIT_TEST_LIMIT:
                 raise GameError("deviation enumeration too large; coarsen the grid or "
                                 "lower the cap")
-            for k in range(start, len(vectors)):
-                vec, val = vectors[k]
-                if all(u <= c for u, c in zip(vec, left)):
-                    chosen.append((vec, val))
-                    rec(
-                        k,
-                        tuple(c - u for u, c in zip(vec, left)),
-                        None if budget_left is None else budget_left - 1,
-                        chosen,
-                    )
-                    chosen.pop()
-
-        rec(0, caps, budget, [])
+            below = None if budget_left is None else budget_left - 1
+            stack.extend(reversed([
+                (k, tuple(c - u for u, c in zip(vec, left)), below, chosen + ((vec, val),))
+                for k, (vec, val) in enumerate(vectors[start:], start)
+                if all(u <= c for u, c in zip(vec, left))
+            ]))
         ranked = sorted(
             ((sum(val for _, val in structure), structure) for structure in out),
             key=lambda pair: -pair[0],

@@ -274,15 +274,10 @@ class CoalitionStructure:
 
 @dataclass(frozen=True, slots=True)
 class Outcome:
-    """A structure together with a per-coalition payoff matrix.
-
-    ``allow_negative`` switches off the default policy that per-coalition
-    payoff entries are nonnegative (intra-coalition side payments).
-    """
+    """A structure together with a per-coalition payoff matrix."""
 
     structure: CoalitionStructure
     payoffs: tuple[tuple[Fraction, ...], ...]
-    allow_negative: bool = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -363,7 +358,7 @@ def validate_outcome(
         for j, x in enumerate(row):
             if c.units[j] == 0 and x != 0:
                 problems.append(f"coalition {i}: non-contributor {j + 1} paid {x}")
-            if x < 0 and not outcome.allow_negative:
+            if x < 0:
                 problems.append(f"coalition {i}: negative payoff {x} to agent {j + 1}")
     if not individual_rationality:
         return problems

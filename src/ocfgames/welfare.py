@@ -273,7 +273,7 @@ def _rule_cover(game: RuleBasedGame, S: FrozenSet[int], cap: Optional[int] = Non
     COVER_INSTANCE_BUDGET instances."""
     weights = game.scaled_weights
     budget = sum(weights[j] for j in S)
-    usable: list[tuple[Rule, int, int]] = []  # (rule, value, need)
+    usable: list[tuple[Rule, int, int, bool]] = []  # (rule, value, need, disjoint)
     for rule, (v, reqs) in zip(game.rules, game.scaled_rules):
         # a single instance must fit what each group holds in S; the largest
         # minimum, positive as the rule is not free, is a lower bound on the
@@ -281,21 +281,22 @@ def _rule_cover(game: RuleBasedGame, S: FrozenSet[int], cap: Optional[int] = Non
         if v and all(sum(weights[j] for j in grp & S) >= m for grp, m in reqs):
             need = max(m for _, m in reqs)
             if need <= budget:
-                usable.append((rule, v, need))
+                usable.append((rule, v, need, _disjoint_within((grp for grp, _ in reqs), S)))
     # by density, nonincreasing, so the best density of a suffix is its first entry's
     usable.sort(key=lambda rvn: Q(rvn[1], rvn[2]), reverse=True)
 
     best = 0
 
-    def dfs(idx: int, multiset: tuple[int, ...], value: int, spent: int):
-        # the caller has found ``multiset`` feasible (the root one is empty)
+    def dfs(idx: int, multiset: tuple[int, ...], value: int, spent: int, disjoint: bool):
+        # the caller has found ``multiset`` feasible (the root one is empty);
+        # ``disjoint``: each of its rules meets S in disjoint groups
         nonlocal best
         if value > best:
             best = value
         if cap is not None and len(multiset) >= cap:
             return
         for i in range(idx, len(usable)):
-            rule, v, need = usable[i]
+            rule, v, need, rule_disjoint = usable[i]
             if spent + need > budget:
                 continue
             # optimistic bound: fill the rest at the best remaining density,
@@ -303,16 +304,16 @@ def _rule_cover(game: RuleBasedGame, S: FrozenSet[int], cap: Optional[int] = Non
             if (value + v - best) * need + (budget - spent - need) * v <= 0:
                 continue
             if not _multiset_feasible(
-                game, S, [usable[k][0] for k in multiset] + [rule]
+                game, S, [usable[k][0] for k in multiset] + [rule], disjoint and rule_disjoint
             ):
                 continue
             if len(multiset) == COVER_INSTANCE_BUDGET:
                 raise GameError(f"the rule cover needs more than {COVER_INSTANCE_BUDGET} "
                                 f"rule instances; set a cap (--cap) of at most "
                                 f"{COVER_INSTANCE_BUDGET}")
-            dfs(i, multiset + (i,), value + v, spent + need)
+            dfs(i, multiset + (i,), value + v, spent + need, disjoint and rule_disjoint)
 
-    dfs(0, (), 0, 0)
+    dfs(0, (), 0, 0, True)
     return Q(best, game.value_scale)
 
 
@@ -324,13 +325,11 @@ def _disjoint_within(groups: Iterable[FrozenSet[int]], S: FrozenSet[int]) -> boo
 
 
 def _multiset_feasible(
-    game: RuleBasedGame, S: FrozenSet[int], instances: Sequence[Rule]
+    game: RuleBasedGame, S: FrozenSet[int], instances: Sequence[Rule], disjoint: bool
 ) -> bool:
-    """Can agents in ``S`` fund one coalition per rule instance within capacity?"""
-    if not instances:
-        return True
-    if all(_disjoint_within((req.agents for req in rule.requirements), S)
-           for rule in instances):
+    """Can agents in ``S`` fund one coalition per rule instance within
+    capacity?  ``disjoint``: every instance passes :func:`_disjoint_within`."""
+    if disjoint:
         return _feasible_by_flow(game, S, instances)
     return _feasible_by_lp(game, S, instances)
 
@@ -414,4 +413,4 @@ def _feasible_by_lp(
             builder.add([(ci, j) for j in req.agents & S], ">=", req.minimum)
     for j in agents:
         builder.add([(ci, j) for ci in range(len(instances))], "<=", game.weights[j])
-    return builder.solve()[0].status != "infeasible"
+    return builder.solve().status != "infeasible"

@@ -277,12 +277,10 @@ def test_criterion_11_oracle_equivalences():
             for _ in range(m)
         )
         names = tuple(f"x{j}" for j in range(n))
-        # nonpositive coefficients keep the maximum bounded over x >= 0
-        objective = (tuple(Q(rng.randint(-2, 0)) for _ in range(n)), "max")
-        full = lp.solve(lp.LinearProgram(names, cons, objective))
+        full = lp.solve(lp.LinearProgram(names, cons))
 
-        def oracle(x, lazy=cons[1:]):
-            for coeffs, rel, rhs in lazy:
+        def violated(x, rows):
+            for coeffs, rel, rhs in rows:
                 lhs = sum((c * v for c, v in zip(coeffs, x)), ZERO)
                 if (rel == "<=" and lhs > rhs) or \
                    (rel == ">=" and lhs < rhs) or \
@@ -290,17 +288,14 @@ def test_criterion_11_oracle_equivalences():
                     return (coeffs, rel, rhs)
             return None
 
-        base = lp.LinearProgram(names, cons[:1], objective)
-        lazy_result, _ = lp.solve_with_separation(base, oracle)
-        if lazy_result.status == "unbounded":
-            continue
+        base = lp.LinearProgram(names, cons[:1])
+        lazy_result, _ = lp.solve_with_separation(base, lambda x: violated(x, cons[1:]))
         compared += 1
-        if full.status == "optimal":
-            if lazy_result.objective_value != full.objective_value:
-                mism += 1
-        elif full.status == "infeasible":
-            if lazy_result.status != "infeasible":
-                mism += 1
+        if lazy_result.status != full.status:
+            mism += 1
+        elif lazy_result.status == "feasible" and (
+                min(lazy_result.assignment) < 0 or violated(lazy_result.assignment, cons)):
+            mism += 1
     _report(11, mism == 0 and compared >= 30,
             f"membership, knapsack and lazy-LP oracles agree "
             f"({mism} mismatches)")
@@ -385,9 +380,11 @@ def _direct_lp_feasible(game, cs) -> bool:
         for j in sorted(c.support):
             coeffs[var[(i, j)]] = Q(1)
         cons.append((tuple(coeffs), "==", game.value(c.units)))
+    # each entry is free in sign: the difference of two nonnegative columns
     program = lp.LinearProgram(
-        tuple(f"x{k}" for k in range(len(var))), tuple(cons),
-        free=frozenset(range(len(var))),
+        tuple(f"x{k}{sign}" for k in range(len(var)) for sign in "+-"),
+        tuple((tuple(b for a in coeffs for b in (a, -a)), rel, rhs)
+              for coeffs, rel, rhs in cons),
     )
     return lp.solve(program).status != "infeasible"
 

@@ -588,6 +588,20 @@ def test_a_rule_cover_past_its_instance_budget_exits_two(tmp_path, capsys):
     assert "value 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["r", "o"])
+def test_a_deep_deviation_enumeration_keeps_its_own_stack(tmp_path, capsys, kind):
+    """One agent of weight 1500 can found 1500 one-unit coalitions, which
+    used to recurse past the interpreter's limit (exit 3)."""
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"agents": 1, "weights": [1500], "tasks": [
+        {"threshold": 1, "utility": 1}]}))
+    outcome = tmp_path / "o.json"
+    outcome.write_text(json.dumps({"structure": [["1500"]], "payoffs": [["1"]]}))
+    assert cli.main(["check-core", "--game", str(game), "--kind", kind,
+                     "--outcome", str(outcome)]) == 1
+    assert capsys.readouterr().out.endswith("agent 1 gains 1499\n")
+
+
 @pytest.mark.parametrize("game, outcome, argv", [
     ({"agents": True, "weights": [True], "tasks": [{"threshold": 1, "utility": True}]},
      None, ["welfare", "--mode", "overlapping"]),

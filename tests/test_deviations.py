@@ -190,12 +190,12 @@ def test_a_negative_cap_is_refused(name):
 
 def _signed_outcome(weights, threshold, utility, rows):
     """One TTG task, a coalition of every agent's unit of weight per payoff
-    row, and the rows as (possibly negative) payoffs."""
+    row, and the rows as (possibly negative) payoffs: ``core_membership``
+    does not validate the outcome it is asked about."""
     game = TTG(tuple(Q(w) for w in weights), (TaskType(Q(threshold), Q(utility)),))
     units = PartialCoalition((Q(1),) * len(weights))
     structure = CoalitionStructure((units,) * len(rows))
-    return game, Outcome(structure, tuple(tuple(map(Q, row)) for row in rows),
-                         allow_negative=True)
+    return game, Outcome(structure, tuple(tuple(map(Q, row)) for row in rows))
 
 
 def test_a_refined_deviator_may_keep_only_what_beats_its_total():
@@ -426,7 +426,7 @@ def test_scaling_memo_keeps_verdicts_of_interleaved_questions():
     assert run(clear=False) == run(clear=True)
 
 
-# -- the flow division against the linear program ------------------------------
+# -- the flow division against Gale's bound and the linear program -------------
 
 
 @st.composite
@@ -439,28 +439,53 @@ def division_questions(draw):
     return pools, floors, floored, unfloored
 
 
-def _program_division(pools, floors, maximize=None):
-    """The division as a linear program, solved by ``lp.solve``: one equality
-    per pool, a nonnegative margin column and one row ``shares(j) - margin
-    >= floor`` per floored agent.  Returns the largest margin (with
-    ``maximize``: that agent's largest total), or None when infeasible."""
-    keys = [(c, j) for c, (_, sup) in enumerate(pools) for j in sup] + ["eps"]
+def _gale_bound(pools, floors, maximize=None):
+    """The largest margin t (with ``maximize``: that agent's largest total)
+    by brute force, or None when no t >= 0 fits.
+
+    Each agent in ``floors`` demands max(floor + t, 0); with ``maximize``
+    only that agent's demand moves with t (from floor 0 when it has none)
+    and every other one demands max(floor, 0).  The demands can be met iff
+    every set T of agents demands at most what the pools touching T hold
+    (Gale), so t is the least, over every T, of the largest value at which
+    T's demands fit.  Over the movers M of T, max(f + t, 0) summed is the
+    largest sum of f + t over the subsets U of M, so that largest value is
+    the least (room - f(U)) / |U| over nonempty U."""
+    agents = sorted(floors.keys() | ({maximize} - {None}))
+    moving = floors.keys() if maximize is None else {maximize}
+    floor = {j: floors.get(j, ZERO) for j in agents}
+    best = None
+    for k in range(1, len(agents) + 1):
+        for T in itertools.combinations(agents, k):
+            room = sum((a for a, sup in pools if set(sup) & set(T)), ZERO)
+            room -= sum((max(floor[j], ZERO) for j in T if j not in moving), ZERO)
+            if room < 0:
+                return None
+            movers = [j for j in T if j in moving]
+            for size in range(1, len(movers) + 1):
+                for U in itertools.combinations(movers, size):
+                    t = (room - sum((floor[j] for j in U), ZERO)) / size
+                    best = t if best is None else min(best, t)
+    if best < 0:
+        return None
+    return best if maximize is None else floor[maximize] + best
+
+
+def _division_feasible(pools, least) -> bool:
+    """Does ``lp.solve`` find a division paying each agent j of ``least`` at
+    least ``least[j]``?  One nonnegative share per (pool, supporter), one
+    equality per pool."""
+    keys = [(c, j) for c, (_, sup) in enumerate(pools) for j in sup]
 
     def row(terms):
-        return tuple(terms.get(key, ZERO) for key in keys)
+        return tuple(Q(1) if key in terms else ZERO for key in keys)
 
-    constraints = [(row({(c, j): Q(1) for j in sup}), "==", amount)
+    constraints = [(row({(c, j) for j in sup}), "==", amount)
                    for c, (amount, sup) in enumerate(pools)]
-    for j, floor in floors.items():
-        shares = {(c, j): Q(1) for c, (_, sup) in enumerate(pools) if j in sup}
-        constraints.append((row({**shares, "eps": Q(-1)}), ">=", floor))
-    objective = {"eps": Q(1)} if maximize is None else {
-        (c, maximize): Q(1) for c, (_, sup) in enumerate(pools) if maximize in sup}
-    program = lp.LinearProgram(tuple(map(str, keys)), tuple(constraints),
-                               (row(objective), "max"))
-    result = lp.solve(program)
-    assert result.status in ("optimal", "infeasible")
-    return result.objective_value if result.status == "optimal" else None
+    constraints += [(row({(c, j) for c, (_, sup) in enumerate(pools) if j in sup}), ">=", x)
+                    for j, x in least.items()]
+    result = lp.solve(lp.LinearProgram(tuple(map(str, keys)), tuple(constraints)))
+    return result.status == "feasible"
 
 
 @example(([(Q(6), (0, 1))], {0: Q(-2), 1: Q(3)}, 0, 2))  # negative floor, margin 5/2
@@ -474,15 +499,21 @@ def _program_division(pools, floors, maximize=None):
 @settings(max_examples=300, deadline=None)
 @given(division_questions())
 def test_flow_division_matches_the_program(question):
+    """The margin is Gale's bound, and the program is feasible at it (at
+    margin 0 when there is none)."""
     pools, floors, floored, unfloored = question
     answer = deviations._divide_strictly(pools, floors)
-    assert (None if answer is None else answer[0]) == _program_division(pools, floors)
+    margin = None if answer is None else answer[0]
+    assert margin == _gale_bound(pools, floors)
+    least = {j: f + (margin or ZERO) for j, f in floors.items()}
+    assert _division_feasible(pools, least) == (margin is not None)
     for agent in (floored, unfloored):
         best = deviations._divide_strictly(pools, floors, maximize=agent)
-        optimum = _program_division(pools, floors, maximize=agent)
+        optimum = _gale_bound(pools, floors, maximize=agent)
         assert (best is None) == (optimum is None)
         if best is not None:
             assert sum((share.get(agent, ZERO) for share in best[1]), ZERO) == optimum
+            assert _division_feasible(pools, {**floors, agent: optimum})
 
 
 # -- r/o membership against a full enumeration scored in Fractions ------------

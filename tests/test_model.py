@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as Q
@@ -186,6 +187,11 @@ def test_validate_outcome_flags_each_clause():
     # negative entry
     negative = Outcome(cs, ((Q(2), Q(-1), ZERO),))
     assert any("negative" in m for m in validate_outcome(g, negative))
+
+
+def test_an_outcome_is_a_structure_and_its_payoffs():
+    # no policy knob: a negative entry is always a problem
+    assert [f.name for f in dataclasses.fields(Outcome)] == ["structure", "payoffs"]
 
 
 def test_validate_outcome_accepts_a_clean_outcome():

@@ -292,10 +292,10 @@ def test_rule_cover_tests_each_multiset_at_most_once(monkeypatch):
     asked: dict[tuple, int] = {}
     feasible = welfare._multiset_feasible
 
-    def counting(game, S, instances):
+    def counting(game, S, instances, disjoint):
         key = (S, tuple(sorted(map(id, instances))))
         asked[key] = asked.get(key, 0) + 1
-        return feasible(game, S, instances)
+        return feasible(game, S, instances, disjoint)
 
     monkeypatch.setattr(welfare, "_multiset_feasible", counting)
     g = corpus.four_escorts_game()
@@ -305,6 +305,23 @@ def test_rule_cover_tests_each_multiset_at_most_once(monkeypatch):
             value = welfare._rule_cover(g, frozenset(S), cap)
             assert value > 0 and asked
             assert max(asked.values()) == 1, (S, cap)
+
+
+def test_rule_cover_tests_each_rule_for_disjointness_once(monkeypatch):
+    calls = []
+    disjoint = welfare._disjoint_within
+
+    def counting(groups, S):
+        calls.append(S)
+        return disjoint(groups, S)
+
+    monkeypatch.setattr(welfare, "_disjoint_within", counting)
+    g = corpus.four_escorts_game()
+    for S in (range(7), {0, 2, 4, 6}, {3, 4, 5, 6}):
+        for cap in (None, 1, 2):
+            calls.clear()
+            assert welfare._rule_cover(g, frozenset(S), cap) > 0
+            assert 0 < len(calls) <= len(g.rules), (S, cap, len(calls))
 
 
 @st.composite
